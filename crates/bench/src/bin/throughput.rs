@@ -9,8 +9,15 @@
 //!   baseline), the new register-blocked serial [`Gemm::compute`], and
 //!   [`Gemm::compute_parallel`] on a persistent [`WorkerPool`] at each
 //!   requested thread count;
+//! * **weight-stationary GEMM** — VGG-A's small-`m` conv shapes, per-call
+//!   [`Gemm::compute`] (which re-packs `B` every call) against
+//!   [`Gemm::compute_packed`] over a `B` packed once, the saving the
+//!   executor's stationary conv operands bank;
 //! * **end-to-end** — images/sec of full training iterations
 //!   (forward+backward) for the Figure-13 nets at each thread count.
+//!
+//! A `host` block records the core count and the ISA the micro-kernel
+//! dispatched on, so rows from different machines are not compared.
 //!
 //! Numbers are honest medians on whatever machine runs this; speedup
 //! ratios are recorded alongside the raw throughput so regressions are
@@ -28,7 +35,7 @@ use latte_runtime::pool::WorkerPool;
 use latte_runtime::registry::KernelRegistry;
 use latte_runtime::tune::Tuner;
 use latte_runtime::{ExecConfig, Executor};
-use latte_tensor::gemm::{Gemm, Transpose};
+use latte_tensor::gemm::{cpu_features, Gemm, PackedB, Transpose};
 
 /// Default blocking of [`Gemm::new`], spelled out so the tuned section can
 /// tell "tuner kept the default" from "tuner found a better blocking".
@@ -193,6 +200,83 @@ fn gemm_section(smoke: bool, threads: &[usize]) -> Json {
         ]));
     }
     Json::Arr(entries)
+}
+
+/// VGG-A's small-`m` conv GEMMs (channel_div 4, 32×32): conv5 forward
+/// over a 2-row and an 8-row tile (`op(B) = Wᵀ`), and conv5
+/// backward-data (`B = W`). `(m, n, k, tb)`.
+const STATIONARY_SHAPES: [(usize, usize, usize, Transpose); 3] = [
+    (2, 128, 1152, Transpose::Yes),
+    (8, 128, 1152, Transpose::Yes),
+    (2, 1152, 128, Transpose::No),
+];
+
+/// Per-call packing against packed-once `B` on the serial engine. Both
+/// sides compute the same bits; the gap is the strided `B` gather the
+/// stationary path pays once per group run instead of once per call.
+fn stationary_section(smoke: bool) -> Json {
+    let mut entries = Vec::new();
+    for (m, n, k, tb) in STATIONARY_SHAPES {
+        let flops = 2.0 * m as f64 * n as f64 * k as f64;
+        let a = seeded(m * k, 17);
+        let b = seeded(k * n, 19);
+        let (mut c_call, mut c_packed) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let (mut per_call, mut stationary) = (Gemm::new(), Gemm::new());
+        let mut packed = PackedB::default();
+        stationary.pack_b(tb, k, n, &b, &mut packed);
+        let (t_call, t_packed) = paired_calls(
+            smoke,
+            || {
+                per_call.compute(Transpose::No, tb, m, n, k, &a, &b, &mut c_call);
+                std::hint::black_box(&mut c_call);
+            },
+            || {
+                stationary
+                    .compute_packed(Transpose::No, m, &a, &packed, &mut c_packed)
+                    .expect("packed under this engine's blocking");
+                std::hint::black_box(&mut c_packed);
+            },
+        );
+        let (call_gflops, packed_gflops) = (flops / t_call / 1e9, flops / t_packed / 1e9);
+        println!(
+            "stationary gemm {m}x{n}x{k} tb={tb:?}  per-call {call_gflops:.2} GFLOP/s  \
+             packed-once {packed_gflops:.2} GFLOP/s  ({:.2}x)",
+            packed_gflops / call_gflops
+        );
+        entries.push(Json::obj([
+            ("m", Json::Num(m as f64)),
+            ("n", Json::Num(n as f64)),
+            ("k", Json::Num(k as f64)),
+            ("tb", Json::Bool(tb == Transpose::Yes)),
+            ("per_call_gflops", Json::Num(call_gflops)),
+            ("packed_once_gflops", Json::Num(packed_gflops)),
+            ("speedup_vs_per_call", Json::Num(packed_gflops / call_gflops)),
+        ]));
+    }
+    Json::Arr(entries)
+}
+
+/// Median seconds per call of two closures timed in alternating rounds,
+/// so a load burst on a shared host lands on both sides.
+fn paired_calls(smoke: bool, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (rounds, reps) = if smoke { (3, 20) } else { (15, 200) };
+    let time = |f: &mut dyn FnMut()| {
+        let s = std::time::Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        s.elapsed().as_secs_f64() / reps as f64
+    };
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        ta.push(time(&mut a));
+        tb.push(time(&mut b));
+    }
+    let med_of = |mut v: Vec<f64>| {
+        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        v[v.len() / 2]
+    };
+    (med_of(ta), med_of(tb))
 }
 
 /// Builds the Figure-13 nets sized for the mode.
@@ -467,6 +551,46 @@ fn validate_doc(doc: &Json) -> Vec<String> {
             }
         }
     }
+    match doc.get("host") {
+        None => errs.push("`host` must be an object".into()),
+        Some(host) => {
+            if host.get("nproc").and_then(Json::as_num).is_none() {
+                errs.push("host.nproc missing or not a number".into());
+            }
+            if host.get("cpu_features").and_then(Json::as_str).is_none() {
+                errs.push("host.cpu_features missing or not a string".into());
+            }
+        }
+    }
+    match doc.get("gemm_stationary").and_then(Json::as_arr) {
+        None => errs.push("`gemm_stationary` must be an array".into()),
+        Some(entries) => {
+            if entries.len() != STATIONARY_SHAPES.len() {
+                errs.push(format!(
+                    "`gemm_stationary` has {} rows, want one per VGG shape ({})",
+                    entries.len(),
+                    STATIONARY_SHAPES.len()
+                ));
+            }
+            for (i, e) in entries.iter().enumerate() {
+                for key in [
+                    "m",
+                    "n",
+                    "k",
+                    "per_call_gflops",
+                    "packed_once_gflops",
+                    "speedup_vs_per_call",
+                ] {
+                    if e.get(key).and_then(Json::as_num).is_none() {
+                        errs.push(format!("gemm_stationary[{i}].{key} missing or not a number"));
+                    }
+                }
+                if !matches!(e.get("tb"), Some(Json::Bool(_))) {
+                    errs.push(format!("gemm_stationary[{i}].tb missing or not a bool"));
+                }
+            }
+        }
+    }
     match doc.get("e2e").and_then(Json::as_arr) {
         None => errs.push("`e2e` must be an array".into()),
         Some(entries) => {
@@ -578,6 +702,7 @@ fn main() {
     let _ = std::fs::remove_file(&cache);
 
     let gemm = gemm_section(args.smoke, threads);
+    let gemm_stationary = stationary_section(args.smoke);
     let e2e = e2e_section(args.smoke, threads, &cache);
     let tuned = tuned_section(args.smoke, &cache);
     let _ = std::fs::remove_file(&cache);
@@ -589,7 +714,18 @@ fn main() {
             "threads",
             Json::Arr(threads.iter().map(|&t| Json::Num(t as f64)).collect()),
         ),
+        (
+            "host",
+            Json::obj([
+                (
+                    "nproc",
+                    Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+                ),
+                ("cpu_features", Json::Str(cpu_features().into())),
+            ]),
+        ),
         ("gemm", gemm),
+        ("gemm_stationary", gemm_stationary),
         ("e2e", e2e),
         ("tuned", tuned),
     ]);

@@ -15,10 +15,20 @@
 //! is exercised at the data-parallel-training level in
 //! [`crate::parallel`].
 //!
-//! All threaded work — parallel per-item groups and partitioned batched
-//! GEMMs — runs on one persistent [`WorkerPool`] created with the
-//! executor; nothing on the per-iteration path spawns threads or
-//! allocates scratch.
+//! All threaded work — parallel per-item groups, their gradient-lane
+//! zeroing and folding, and partitioned batched GEMMs — runs on one
+//! persistent [`WorkerPool`] created with the executor; nothing on the
+//! per-iteration path spawns threads or allocates scratch. Lane
+//! layouts and stationary operands are computed at lowering; packed `B`
+//! panels and lane arenas are sized when the executor is instantiated,
+//! and per-worker slot vectors grow once, on first use.
+//!
+//! Per-item GEMMs whose `B` operand is a read-only parameter (a conv
+//! layer's weights) are *weight-stationary*: each group run packs those
+//! operands once on the calling thread, then every batch item and tile
+//! reads the shared panels (see `latte_tensor::gemm::PackedB`) instead
+//! of re-packing per call. The panels hold the same bytes in the same
+//! order, so results are bit-identical to per-call packing.
 //!
 //! # Safety architecture
 //!
@@ -36,16 +46,20 @@ use std::sync::Arc;
 
 use latte_core::{CompiledNet, ParamBinding};
 use latte_ir::{AssignOp, BinOp, UnaryOp};
-use latte_tensor::gemm::{Gemm, Transpose};
+use latte_tensor::gemm::{Gemm, PackedB, Transpose};
 
 use crate::error::RuntimeError;
 use crate::health::{scan_slice, BufferAnomaly, SentinelMode};
 use crate::lower::{
     BatchedGemm, CCopy, CExpr, CExtern, CGather, CGemm, CGroup, CRef, FastKind, InnerLoop,
-    Kernel, Segment,
+    Kernel, LaneSpan, Segment,
 };
 use crate::plan::ExecutionPlan;
-use crate::pool::{WorkerPool, GRAD_LANES};
+use crate::pool::{Lanes, WorkerPool, GRAD_LANES};
+
+/// Below this many lane-element additions a gradient fold runs on the
+/// caller; above it the element range is split across the pool.
+const PAR_FOLD_MIN: usize = 1 << 16;
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::BufferStore;
 
@@ -143,39 +157,41 @@ impl RawBuf {
     }
 }
 
-/// Per-item frame: one [`RawBuf`] per group buffer.
-struct Frame {
+/// Per-item frame: one [`RawBuf`] per group buffer, plus the group's
+/// packed stationary operands (shared by every item).
+struct Frame<'a> {
     bufs: Vec<RawBuf>,
+    packs: &'a [PackedB],
 }
 
-/// Parallel-worker buffer redirection: storage indices to replace, and
-/// their replacement `(pointer, length)` pairs.
-type RedirectTable<'a> = (&'a [usize], &'a [(*mut f32, usize)]);
-
-/// Builds the per-item frame from the store's base pointer.
+/// Builds the per-item frame from the store's base pointer. With
+/// `lane = Some(base)`, parameter-gradient bindings are redirected into
+/// that lane's scratch at their [`LaneSpan`] offsets.
 ///
 /// # Safety
 ///
 /// `base` must point at `n_storages` live `Vec<f32>` storages with no
 /// other active borrows; the caller must guarantee the disjointness
 /// invariants described in the module docs.
-unsafe fn build_frame(
+unsafe fn build_frame<'a>(
     base: *mut Vec<f32>,
     g: &CGroup,
     item: usize,
-    redirect: Option<RedirectTable<'_>>,
-) -> Frame {
+    lane: Option<*mut f32>,
+    packs: &'a [PackedB],
+) -> Frame<'a> {
     let bufs = g
         .bufs
         .iter()
         .map(|b| {
-            let (ptr, len) = match &redirect {
-                Some((storages, scratch)) if b.param_grad => {
-                    let pos = storages
+            let (ptr, len) = match lane {
+                Some(lane) if b.param_grad => {
+                    let span = g
+                        .lane_spans
                         .iter()
-                        .position(|&s| s == b.storage)
+                        .find(|s| s.storage == b.storage)
                         .expect("redirected storage present");
-                    scratch[pos]
+                    (lane.add(span.off), span.len)
                 }
                 _ => {
                     let s = &mut *base.add(b.storage);
@@ -192,7 +208,7 @@ unsafe fn build_frame(
             }
         })
         .collect();
-    Frame { bufs }
+    Frame { bufs, packs }
 }
 
 /// A per-group callback invoked after each compute group of a phase
@@ -260,6 +276,11 @@ impl CompiledProgram {
         &self.net
     }
 
+    /// The execution plan every instantiated executor shares.
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
+    }
+
     /// Builds a warm executor on `pool`, sharing this program's plan:
     /// allocates a fresh buffer store and writes initial parameter
     /// values, but performs no compilation or lowering. The executor's
@@ -270,12 +291,17 @@ impl CompiledProgram {
     /// Propagates buffer-store allocation failures.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
         let store = BufferStore::with_layout(&self.net.buffers, self.net.batch, self.layout.as_ref())?;
+        // Size every per-run scratch now so steady-state runs never grow
+        // one: lane arenas (pool-owned) and packed-B slots.
+        pool.lane_scratch(GRAD_LANES.min(self.net.batch.max(1)), self.plan.lane_elements);
+        let packs = self.plan.packed_slots.iter().map(|&n| PackedB::with_capacity(n)).collect();
         let mut exec = Executor {
             net: self.net.clone(),
             plan: Arc::clone(&self.plan),
             store,
             cfg: ExecConfig { threads: pool.threads(), ..self.cfg },
             pool,
+            packs,
         };
         exec.reset_params()?;
         Ok(exec)
@@ -299,6 +325,9 @@ pub struct Executor {
     /// lane scratch), shared across the warm executors of one serving
     /// replica; runs are exclusive — one executor drives it at a time.
     pool: Arc<WorkerPool>,
+    /// Packed-`B` slots for the running group's stationary operands,
+    /// sized at instantiation to the plan's largest group.
+    packs: Vec<PackedB>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -708,6 +737,11 @@ impl Executor {
     }
 
     fn run_group(&mut self, g: &CGroup, n_slots: usize) {
+        // Taken out for the group run (a move, not an allocation) so the
+        // segments below can borrow the rest of `self` mutably.
+        let mut packs = std::mem::take(&mut self.packs);
+        self.pack_stationary(g, &mut packs);
+        let packs_ref = &packs[..g.stationary.len()];
         let batch = self.net.batch;
         for seg in &g.segments {
             match seg {
@@ -720,17 +754,17 @@ impl Executor {
                         // structure fixes the gradient summation order,
                         // which is what makes threads=4 bit-identical to
                         // threads=1.
-                        self.run_items_parallel(g, kernels, n_slots);
+                        self.run_items_parallel(g, kernels, n_slots, packs_ref);
                     } else {
                         let base = self.store.storages.as_mut_ptr();
                         self.pool.with_caller_ctx(|ctx| {
-                            let mut env = vec![0i64; n_slots.max(1)];
                             for item in 0..batch {
                                 // SAFETY: single-threaded exclusive access
                                 // through `&mut self`.
-                                let frame = unsafe { build_frame(base, g, item, None) };
+                                let frame = unsafe { build_frame(base, g, item, None, packs_ref) };
+                                let (gemm, env) = ctx.kernel_ctx(n_slots);
                                 for k in kernels {
-                                    exec_kernel(k, &mut env, &frame, batch, g, item, &mut ctx.gemm);
+                                    exec_kernel(k, env, &frame, batch, g, item, gemm);
                                 }
                             }
                         });
@@ -738,44 +772,54 @@ impl Executor {
                 }
             }
         }
+        self.packs = packs;
+    }
+
+    /// Packs the group's stationary `B` operands into `packs` on the
+    /// calling thread, under the pool's current GEMM blocking (so a
+    /// `reconfigure_gemm` between runs is picked up by the next pack).
+    /// Lowering proved nothing in the group writes these storages, so one
+    /// pack serves every item and tile of the run.
+    fn pack_stationary(&self, g: &CGroup, packs: &mut [PackedB]) {
+        if g.stationary.is_empty() {
+            return;
+        }
+        self.pool.with_caller_ctx(|ctx| {
+            for (s, pb) in g.stationary.iter().zip(packs.iter_mut()) {
+                let src = &self.store.storages[g.bufs[s.buf].storage][s.off..];
+                let tb = if s.tb { Transpose::Yes } else { Transpose::No };
+                ctx.gemm.pack_b(tb, s.k, s.n, src, pb);
+            }
+        });
     }
 
     /// Static interleaved schedule across the persistent pool, with
     /// fixed-lane parameter-gradient scratch reduced afterwards in lane
     /// order (see [`crate::pool`] for the determinism argument). Lane
-    /// scratch is pool-owned: zeroed per group, never reallocated.
-    fn run_items_parallel(&mut self, g: &CGroup, kernels: &[Kernel], n_slots: usize) {
+    /// scratch is pool-owned and sized at instantiation; each lane is
+    /// zeroed by the worker that owns it.
+    fn run_items_parallel(
+        &mut self,
+        g: &CGroup,
+        kernels: &[Kernel],
+        n_slots: usize,
+        packs: &[PackedB],
+    ) {
         let batch = self.net.batch;
-        let pg_storages: Vec<usize> = {
-            let mut v: Vec<usize> = g
-                .bufs
-                .iter()
-                .filter(|b| b.param_grad)
-                .map(|b| b.storage)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let sizes: Vec<usize> = pg_storages
-            .iter()
-            .map(|&s| self.store.storages[s].len())
-            .collect();
         // Lane count is capped by the batch (tail lanes would be empty)
         // but NEVER depends on the thread count.
         let n_lanes = GRAD_LANES.min(batch.max(1));
-        let lane_scratch = self.pool.lane_scratch(n_lanes, &sizes);
+        let lanes = self.pool.lane_scratch(n_lanes, g.lane_elements());
 
         /// Everything the item job needs, bundled so one `unsafe impl
-        /// Sync` covers the raw pointers (base storage + lane spans).
+        /// Sync` covers the raw storage base pointer.
         struct ItemJob<'a> {
             base: *mut Vec<f32>,
             g: &'a CGroup,
             kernels: &'a [Kernel],
-            pg: &'a [usize],
-            lanes: &'a [Vec<(*mut f32, usize)>],
+            packs: &'a [PackedB],
+            lanes: Lanes,
             batch: usize,
-            n_lanes: usize,
             n_slots: usize,
             nt: usize,
         }
@@ -788,10 +832,9 @@ impl Executor {
             base: self.store.storages.as_mut_ptr(),
             g,
             kernels,
-            pg: &pg_storages,
-            lanes: &lane_scratch,
+            packs,
+            lanes,
             batch,
-            n_lanes,
             n_slots,
             nt: self.pool.threads(),
         };
@@ -801,20 +844,23 @@ impl Executor {
         // any `(first, step)` coverage of the lanes produces the same
         // bits.
         fn run_lanes(j: &ItemJob<'_>, ctx: &mut crate::pool::WorkerCtx, first: usize, step: usize) {
-            let mut env = vec![0i64; j.n_slots.max(1)];
+            let n_lanes = j.lanes.count();
             let mut lane = first;
-            while lane < j.n_lanes {
-                let scratch = &j.lanes[lane];
+            while lane < n_lanes {
+                // SAFETY: this worker owns `lane` for the whole job.
+                unsafe { j.lanes.zero(lane) };
                 let mut item = lane;
                 while item < j.batch {
-                    // SAFETY: see module docs; this lane's scratch
-                    // pointers are exclusive to this worker.
-                    let frame =
-                        unsafe { build_frame(j.base, j.g, item, Some((j.pg, scratch))) };
+                    // SAFETY: see module docs; this lane's scratch is
+                    // exclusive to this worker.
+                    let frame = unsafe {
+                        build_frame(j.base, j.g, item, Some(j.lanes.base(lane)), j.packs)
+                    };
+                    let (gemm, env) = ctx.kernel_ctx(j.n_slots);
                     for k in j.kernels {
-                        exec_kernel(k, &mut env, &frame, j.batch, j.g, item, &mut ctx.gemm);
+                        exec_kernel(k, env, &frame, j.batch, j.g, item, gemm);
                     }
-                    item += j.n_lanes;
+                    item += n_lanes;
                 }
                 lane += step;
             }
@@ -826,20 +872,53 @@ impl Executor {
         } else {
             self.pool.run(&|tid, ctx| run_lanes(&job, ctx, tid, job.nt));
         }
+        self.fold_lanes(&g.lane_spans, lanes, g.serial_hint);
+    }
 
-        // Synchronized reduction, folding lanes in lane order — the same
-        // association for every thread count.
-        for (si, &storage) in pg_storages.iter().enumerate() {
-            let main = &mut self.store.storages[storage];
-            for lane in &lane_scratch {
-                let (ptr, len) = lane[si];
-                // SAFETY: the job finished; the caller again has exclusive
-                // access to every lane span.
-                let s = unsafe { std::slice::from_raw_parts(ptr, len) };
-                for (m, v) in main.iter_mut().zip(s) {
-                    *m += v;
+    /// Synchronized reduction: adds every lane into the main gradient,
+    /// lane 0 first — the same association for every thread count. Large
+    /// folds split each storage's element range across the pool (each
+    /// element still folds its lanes in order); small ones, and tuned
+    /// serial groups, stay on the caller.
+    fn fold_lanes(&mut self, spans: &[LaneSpan], lanes: Lanes, serial: bool) {
+        struct FoldJob<'a> {
+            base: *mut Vec<f32>,
+            spans: &'a [LaneSpan],
+            lanes: Lanes,
+        }
+        // SAFETY: parts fold disjoint element ranges of distinct main
+        // storages; the item job finished, so lanes are only read.
+        unsafe impl Sync for FoldJob<'_> {}
+        fn fold(j: &FoldJob<'_>, part: usize, nparts: usize) {
+            for s in j.spans {
+                // Chunks are whole 16-float runs so each vectorizes.
+                let chunk = s.len.div_ceil(nparts).div_ceil(16) * 16;
+                let lo = (part * chunk).min(s.len);
+                let hi = (lo + chunk).min(s.len);
+                // SAFETY: `[lo, hi)` of this storage is this part's alone.
+                let main = unsafe { &mut (&mut *j.base.add(s.storage))[lo..hi] };
+                for lane in 0..j.lanes.count() {
+                    // SAFETY: lane spans cover `off..off + len`; no writer.
+                    let src = unsafe {
+                        std::slice::from_raw_parts(j.lanes.base(lane).add(s.off + lo), hi - lo)
+                    };
+                    for (m, v) in main.iter_mut().zip(src) {
+                        *m += v;
+                    }
                 }
             }
+        }
+        let job = FoldJob {
+            base: self.store.storages.as_mut_ptr(),
+            spans,
+            lanes,
+        };
+        let adds = spans.iter().map(|s| s.len).sum::<usize>() * lanes.count();
+        let nt = self.pool.threads();
+        if serial || nt == 1 || adds < PAR_FOLD_MIN {
+            fold(&job, 0, 1);
+        } else {
+            self.pool.run(&|tid, _ctx| fold(&job, tid, nt));
         }
     }
 
@@ -1198,12 +1277,16 @@ fn run_unit_fast_binary(inner: &InnerLoop, env: &[i64], frame: &Frame) -> bool {
 
 fn exec_gemm(g: &CGemm, env: &[i64], frame: &Frame, engine: &mut Gemm) {
     // Operand sizes are transpose-invariant (k*m == m*k).
-    let a_need = g.m * g.k;
-    let b_need = g.k * g.n;
-    let a = frame.bufs[g.a.buf].slice(g.a.idx.eval(env), a_need);
-    let b = frame.bufs[g.b.buf].slice(g.b.idx.eval(env), b_need);
+    let a = frame.bufs[g.a.buf].slice(g.a.idx.eval(env), g.m * g.k);
     let c = frame.bufs[g.c.buf].slice_mut(g.c.idx.eval(env), g.m * g.n);
     let ta = if g.ta { Transpose::Yes } else { Transpose::No };
+    if let Some(i) = g.packed {
+        engine
+            .compute_packed(ta, g.m, a, &frame.packs[i], c)
+            .expect("stationary B packed under the pool's blocking");
+        return;
+    }
+    let b = frame.bufs[g.b.buf].slice(g.b.idx.eval(env), g.k * g.n);
     let tb = if g.tb { Transpose::Yes } else { Transpose::No };
     engine.compute(ta, tb, g.m, g.n, g.k, a, b, c);
 }

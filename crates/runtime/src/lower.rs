@@ -28,6 +28,8 @@ use latte_ir::{
     UnaryOp,
 };
 
+use latte_tensor::gemm::{Gemm, Transpose};
+
 use crate::error::RuntimeError;
 use crate::registry::{ExternFn, KernelRegistry};
 use crate::store::BufferStore;
@@ -141,6 +143,32 @@ pub(crate) struct CGemm {
     pub a: CRef,
     pub b: CRef,
     pub c: CRef,
+    /// Index into the owning group's [`CGroup::stationary`] when `B` is
+    /// packed once per group run instead of once per call.
+    pub packed: Option<usize>,
+}
+
+/// A weight-stationary `B` operand: read-only for the whole group run,
+/// so it is packed once before the items fan out (see
+/// [`mark_stationary`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct StationaryB {
+    /// Group buffer-table index of the operand (unbatched).
+    pub buf: usize,
+    /// Constant element offset of the operand in its buffer.
+    pub off: usize,
+    pub tb: bool,
+    pub k: usize,
+    pub n: usize,
+}
+
+/// One parameter-gradient storage a parallel group redirects into lane
+/// scratch: each lane holds a private copy at `off..off + len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneSpan {
+    pub storage: usize,
+    pub off: usize,
+    pub len: usize,
 }
 
 /// A whole-batch GEMM hoisted out of the per-item loop. Operand fields
@@ -418,6 +446,19 @@ pub(crate) struct CGroup {
     /// statement's operands). Batched GEMMs address raw storage rather
     /// than the buffer table, so rebinding needs the names directly.
     pub gemm_names: Vec<[String; 3]>,
+    /// `B` operands packed once per group run, indexed by
+    /// [`CGemm::packed`].
+    pub stationary: Vec<StationaryB>,
+    /// Parameter-gradient storages redirected to lane scratch (parallel
+    /// groups), ascending by storage, laid out back to back per lane.
+    pub lane_spans: Vec<LaneSpan>,
+}
+
+impl CGroup {
+    /// Floats one gradient lane of this group holds.
+    pub fn lane_elements(&self) -> usize {
+        self.lane_spans.iter().map(|s| s.len).sum()
+    }
 }
 
 /// The fully lowered program.
@@ -564,7 +605,7 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
             next_gemm += 1;
         }
     }
-    Some(CGroup {
+    let mut cg = CGroup {
         name: group.name.clone(),
         parallel: rep.parallel,
         serial_hint: group.meta.serial_hint,
@@ -572,7 +613,13 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
         buf_names,
         segments,
         gemm_names,
-    })
+        stationary: Vec::new(),
+        lane_spans: Vec::new(),
+    };
+    // Rebinding can change which storages alias, so both analyses run
+    // again on the rebound table.
+    finish_group(&mut cg, store);
+    Some(cg)
 }
 
 struct GroupLowerer<'a> {
@@ -638,7 +685,7 @@ fn lower_group(
         segments.push(Segment::PerItem(current));
     }
     *max_slots = (*max_slots).max(lw.slot_extents.len());
-    Ok(CGroup {
+    let mut cg = CGroup {
         name: group.name.clone(),
         parallel,
         serial_hint: group.meta.serial_hint,
@@ -646,7 +693,120 @@ fn lower_group(
         buf_names: lw.buf_names,
         segments,
         gemm_names,
-    })
+        stationary: Vec::new(),
+        lane_spans: Vec::new(),
+    };
+    finish_group(&mut cg, store);
+    Ok(cg)
+}
+
+/// The per-group analyses that depend only on the lowered kernels and
+/// the bound storages: stationary `B` operands and the lane layout.
+fn finish_group(g: &mut CGroup, store: &BufferStore) {
+    mark_stationary(g);
+    if g.parallel {
+        let mut storages: Vec<usize> =
+            g.bufs.iter().filter(|b| b.param_grad).map(|b| b.storage).collect();
+        storages.sort_unstable();
+        storages.dedup();
+        let mut off = 0;
+        for storage in storages {
+            let len = store.storages[storage].len();
+            g.lane_spans.push(LaneSpan { storage, off, len });
+            off += len;
+        }
+    }
+}
+
+/// Marks every per-item GEMM whose `B` operand is stationary for the
+/// group run, recording one [`StationaryB`] per distinct operand. `B` is
+/// stationary when its binding is unbatched and not a parameter gradient
+/// (those are redirected to lane scratch), its offset is the same for
+/// every loop value, nothing in the group writes its storage, and the
+/// shape reads `B` packed at all (not the narrow row path).
+fn mark_stationary(g: &mut CGroup) {
+    let mut written = Vec::new();
+    for seg in &g.segments {
+        match seg {
+            Segment::PerItem(kernels) => {
+                for k in kernels {
+                    k.visit(&mut |k| written.extend(k.writes().iter().map(|&b| g.bufs[b].storage)));
+                }
+            }
+            Segment::Batched(b) => written.push(b.c),
+            Segment::ExternWhole(e) => written.extend(e.bufs.iter().map(|&b| g.bufs[b].storage)),
+        }
+    }
+    let (bufs, stationary) = (&g.bufs, &mut g.stationary);
+    for seg in &mut g.segments {
+        let Segment::PerItem(kernels) = seg else { continue };
+        for k in kernels {
+            k.visit_gemms_mut(&mut |gm| {
+                let b = &bufs[gm.b.buf];
+                let ta = if gm.ta { Transpose::Yes } else { Transpose::No };
+                let fixed = gm.b.idx.terms.iter().all(|&(_, c)| c == 0);
+                // A step-shared clone arrives with its representative's
+                // marks; they are recomputed for the rebound table.
+                gm.packed = None;
+                if b.batched || b.param_grad || !fixed || written.contains(&b.storage) {
+                    return;
+                }
+                if !Gemm::packs_b(ta, gm.n) {
+                    return;
+                }
+                let op = StationaryB {
+                    buf: gm.b.buf,
+                    off: gm.b.idx.base as usize,
+                    tb: gm.tb,
+                    k: gm.k,
+                    n: gm.n,
+                };
+                let i = stationary.iter().position(|s| *s == op).unwrap_or_else(|| {
+                    stationary.push(op);
+                    stationary.len() - 1
+                });
+                gm.packed = Some(i);
+            });
+        }
+    }
+}
+
+impl Kernel {
+    /// Calls `f` on this kernel and every kernel nested in it.
+    fn visit(&self, f: &mut impl FnMut(&Kernel)) {
+        f(self);
+        if let Kernel::Loop { body, .. } = self {
+            for k in body {
+                k.visit(f);
+            }
+        }
+    }
+
+    /// Calls `f` on every GEMM in this kernel tree.
+    fn visit_gemms_mut(&mut self, f: &mut impl FnMut(&mut CGemm)) {
+        match self {
+            Kernel::Gemm(gm) => f(gm),
+            Kernel::Loop { body, .. } => {
+                for k in body {
+                    k.visit_gemms_mut(f);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Buffer-table indices this kernel (not its children) may write.
+    fn writes(&self) -> Vec<usize> {
+        match self {
+            Kernel::Loop { .. } => Vec::new(),
+            Kernel::Inner(l) => vec![l.assign.dest.buf],
+            Kernel::Assign(a) => vec![a.dest.buf],
+            Kernel::Gemm(gm) => vec![gm.c.buf],
+            Kernel::Copy(c) => vec![if c.scatter { c.src } else { c.dest }],
+            Kernel::Gather(g) => vec![if g.scatter { g.src } else { g.dest }],
+            Kernel::Extern(e) => e.bufs.clone(),
+        }
+    }
 }
 
 fn group_is_parallel(group: &Group) -> bool {
@@ -913,6 +1073,7 @@ impl GroupLowerer<'_> {
             a,
             b,
             c,
+            packed: None,
         })
     }
 

@@ -33,7 +33,9 @@ use std::collections::HashMap;
 use latte_core::CompiledNet;
 use latte_ir::BufferKind;
 
-use crate::lower::{CGroup, Plan};
+use latte_tensor::gemm::PackedB;
+
+use crate::lower::{CGroup, Kernel, Plan, Segment};
 use crate::store::Visibility;
 
 /// The arena memory layout for one compiled net: where every alias class
@@ -224,6 +226,12 @@ pub struct ExecutionPlan {
     pub(crate) zero_fwd: Vec<Vec<(usize, usize)>>,
     /// Per backward group: `(backing, elements)` fills before the group.
     pub(crate) zero_bwd: Vec<Vec<(usize, usize)>>,
+    /// Floats each packed-`B` slot needs: slot `i` holds the `i`-th
+    /// stationary operand of whichever group is running, so it is sized
+    /// to the largest `i`-th operand of any group.
+    pub(crate) packed_slots: Vec<usize>,
+    /// Floats one gradient lane needs: the largest parallel group's.
+    pub(crate) lane_elements: usize,
     arena: bool,
 }
 
@@ -242,10 +250,24 @@ impl ExecutionPlan {
                 }
             }
         }
+        let mut packed_slots: Vec<usize> = Vec::new();
+        let mut lane_elements = 0;
+        for g in lowered.forward.iter().chain(&lowered.backward) {
+            for (i, s) in g.stationary.iter().enumerate() {
+                let len = PackedB::len_for(s.k, s.n);
+                match packed_slots.get_mut(i) {
+                    Some(slot) => *slot = (*slot).max(len),
+                    None => packed_slots.push(len),
+                }
+            }
+            lane_elements = lane_elements.max(g.lane_elements());
+        }
         ExecutionPlan {
             lowered,
             zero_fwd,
             zero_bwd,
+            packed_slots,
+            lane_elements,
             arena: layout.is_some(),
         }
     }
@@ -290,5 +312,34 @@ impl ExecutionPlan {
     /// lowering-side effect of the compiler's step-share pass.
     pub fn step_groups_reused(&self) -> usize {
         self.lowered.step_groups_reused
+    }
+
+    /// Per-item GEMMs (both phases) whose `B` operand is weight-stationary:
+    /// packed once per group run on the calling thread, then read by
+    /// every batch item and tile, instead of re-packed per call.
+    pub fn stationary_gemms(&self) -> usize {
+        fn count(k: &Kernel) -> usize {
+            match k {
+                Kernel::Gemm(gm) => usize::from(gm.packed.is_some()),
+                Kernel::Loop { body, .. } => body.iter().map(count).sum(),
+                _ => 0,
+            }
+        }
+        self.lowered
+            .forward
+            .iter()
+            .chain(&self.lowered.backward)
+            .flat_map(|g| &g.segments)
+            .map(|seg| match seg {
+                Segment::PerItem(kernels) => kernels.iter().map(count).sum(),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Floats of packed-`B` scratch an executor of this plan allocates
+    /// (once, at instantiation); zero when no GEMM is stationary.
+    pub fn packed_scratch_elements(&self) -> usize {
+        self.packed_slots.iter().sum()
     }
 }

@@ -17,8 +17,9 @@
 //!   engines stop being re-grown when work migrates threads (the old
 //!   `thread_local!` arrangement) and need no `RefCell`.
 //! * **Lane scratch arenas** — parameter-gradient scratch for the
-//!   synchronized reduction, keyed by *lane* (see below), allocated once
-//!   and zeroed (never reallocated) per parallel group.
+//!   synchronized reduction, keyed by *lane* (see below), grown once and
+//!   never reallocated afterwards. Each lane is zeroed per parallel group
+//!   by the worker that owns it, inside the job.
 //! * **A global spawn counter** — [`total_threads_spawned`] lets tests
 //!   assert that workers are created exactly once per pool.
 //!
@@ -35,8 +36,10 @@
 //! `i % lanes`, lanes are distributed statically across however many
 //! workers exist (worker `t` owns lanes `t, t+T, ...` — the
 //! `schedule(static, 1)` shape), and the final reduction folds lanes into
-//! the master buffer in lane order on the caller. Every sum therefore has
-//! the same association for any thread count, making threaded execution
+//! the master buffer in lane order. Large folds split the *element*
+//! range across workers, but every element still adds lane 0, then lane
+//! 1, … onto the master value. Every sum therefore has the same
+//! association for any thread count, making threaded execution
 //! **bit-identical** to `threads=1`.
 
 use std::cell::UnsafeCell;
@@ -72,6 +75,64 @@ pub struct WorkerCtx {
     /// The worker's GEMM engine. Packing buffers grow to the largest
     /// shape seen and are reused across iterations.
     pub gemm: Gemm,
+    /// The worker's loop-slot environment for executing kernels; grows
+    /// to the largest slot count seen and is reused across groups.
+    pub(crate) env: Vec<i64>,
+}
+
+impl WorkerCtx {
+    /// The GEMM engine and a zeroed `n`-slot environment, borrowed
+    /// together for kernel execution.
+    pub(crate) fn kernel_ctx(&mut self, n: usize) -> (&mut Gemm, &mut [i64]) {
+        if self.env.len() < n {
+            self.env.resize(n, 0);
+        }
+        let env = &mut self.env[..n];
+        env.fill(0);
+        (&mut self.gemm, env)
+    }
+}
+
+/// Raw views of the gradient-lane arenas for one parallel group run:
+/// `count` lanes of `len` floats each. Copyable so a job can carry it to
+/// every worker; the lane-ownership schedule decides who touches which
+/// lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes {
+    base: [*mut f32; GRAD_LANES],
+    count: usize,
+    len: usize,
+}
+
+// SAFETY: a `Lanes` is only a table of spans; who may touch which lane is
+// fixed by the lane-ownership schedule its users follow.
+unsafe impl Send for Lanes {}
+unsafe impl Sync for Lanes {}
+
+impl Lanes {
+    /// Number of lanes.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Start of lane `lane`'s `len` floats.
+    pub(crate) fn base(&self, lane: usize) -> *mut f32 {
+        debug_assert!(lane < self.count);
+        self.base[lane]
+    }
+
+    /// Zeroes lane `lane`.
+    ///
+    /// # Safety
+    ///
+    /// `lane < count()`, the caller must own the lane (no concurrent
+    /// access), and the pool's arenas must not have been regrown since
+    /// this view was taken.
+    pub(crate) unsafe fn zero(&self, lane: usize) {
+        // SAFETY: the arena behind `lane` holds at least `len` floats
+        // (grown by `lane_scratch`), and the caller owns the lane.
+        unsafe { std::slice::from_raw_parts_mut(self.base(lane), self.len) }.fill(0.0);
+    }
 }
 
 /// Type-erased job pointer broadcast to workers. The pointed-to closure
@@ -205,7 +266,9 @@ impl WorkerPool {
         });
         let ctxs: Arc<Vec<CtxCell>> = Arc::new(
             (0..threads)
-                .map(|_| CtxCell(UnsafeCell::new(WorkerCtx { gemm: proto.clone() })))
+                .map(|_| {
+                    CtxCell(UnsafeCell::new(WorkerCtx { gemm: proto.clone(), env: Vec::new() }))
+                })
                 .collect(),
         );
         let mut handles = Vec::with_capacity(threads.saturating_sub(1));
@@ -306,40 +369,36 @@ impl WorkerPool {
         f(ctx)
     }
 
-    /// Prepares `lanes` zeroed scratch areas, each holding one buffer per
-    /// entry of `sizes`, and returns their raw spans (lane-major). The
-    /// backing arenas are pool-owned: they grow monotonically to the
-    /// largest request and are *zeroed*, never reallocated, on reuse.
+    /// Returns `lanes` scratch lanes of `len` floats each. The backing
+    /// arenas are pool-owned: they grow to the largest request and are
+    /// never reallocated below it, so a pool sized once (see
+    /// [`Executor`](crate::Executor) instantiation) hands out the same
+    /// spans on every call. Contents are **not** cleared: the worker that
+    /// owns a lane zeroes it inside the job ([`Lanes::zero`]).
     ///
-    /// The returned pointers stay valid until the next `lane_scratch`
-    /// call (which may grow — and thereby reallocate — an arena); each
-    /// lane's spans must be written by at most one worker at a time (the
-    /// lane-ownership schedule guarantees this), and the exclusive-run
-    /// protocol forbids a second executor from calling in while the
-    /// spans are live.
-    pub(crate) fn lane_scratch(&self, lanes: usize, sizes: &[usize]) -> Vec<Vec<(*mut f32, usize)>> {
-        let total: usize = sizes.iter().sum();
+    /// The returned pointers stay valid until a later call grows an
+    /// arena; each lane must be written by at most one worker at a time
+    /// (the lane-ownership schedule guarantees this), and the
+    /// exclusive-run protocol forbids a second executor from calling in
+    /// while the spans are live.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` exceeds [`GRAD_LANES`].
+    pub(crate) fn lane_scratch(&self, lanes: usize, len: usize) -> Lanes {
+        assert!(lanes <= GRAD_LANES, "{lanes} lanes requested, at most {GRAD_LANES}");
         let mut arenas = self.lanes.lock().expect("pool lane arenas");
-        while arenas.len() < lanes {
-            arenas.push(Vec::new());
+        if arenas.len() < lanes {
+            arenas.resize_with(lanes, Vec::new);
         }
-        let mut out = Vec::with_capacity(lanes);
-        for arena in arenas.iter_mut().take(lanes) {
-            if arena.len() < total {
-                arena.resize(total, 0.0);
+        let mut base = [std::ptr::null_mut(); GRAD_LANES];
+        for (b, arena) in base.iter_mut().zip(arenas.iter_mut()).take(lanes) {
+            if arena.len() < len {
+                arena.resize(len, 0.0);
             }
-            arena[..total].fill(0.0);
-            let mut spans = Vec::with_capacity(sizes.len());
-            let mut off = 0usize;
-            let base = arena.as_mut_ptr();
-            for &len in sizes {
-                // SAFETY: `off + len <= total <= arena.len()`.
-                spans.push((unsafe { base.add(off) }, len));
-                off += len;
-            }
-            out.push(spans);
+            *b = arena.as_mut_ptr();
         }
-        out
+        Lanes { base, count: lanes, len }
     }
 }
 
@@ -473,18 +532,29 @@ mod tests {
     }
 
     #[test]
-    fn lane_scratch_is_zeroed_and_reused() {
-        let pool = WorkerPool::new(1);
-        let spans = pool.lane_scratch(2, &[3, 5]);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].len(), 2);
-        // Dirty lane 0's first buffer.
-        let p0 = spans[0][0].0;
-        unsafe { *p0 = 42.0 };
-        let again = pool.lane_scratch(2, &[3, 5]);
-        // Same backing storage (no reallocation), content re-zeroed.
-        assert_eq!(again[0][0].0, spans[0][0].0);
-        assert_eq!(unsafe { *again[0][0].0 }, 0.0);
+    fn lane_scratch_is_reused_and_zeroed_by_its_owner() {
+        let pool = WorkerPool::new(2);
+        let lanes = pool.lane_scratch(2, 8);
+        assert_eq!(lanes.count(), 2);
+        // Dirty both lanes.
+        for l in 0..2 {
+            unsafe { std::slice::from_raw_parts_mut(lanes.base(l), 8) }.fill(42.0);
+        }
+        // Same request: same backing storage (no reallocation), and the
+        // contents are left for the owning worker to clear.
+        let again = pool.lane_scratch(2, 8);
+        for l in 0..2 {
+            assert_eq!(again.base(l), lanes.base(l));
+            assert_eq!(unsafe { *again.base(l) }, 42.0);
+        }
+        // A smaller request reuses the grown arenas too.
+        assert_eq!(pool.lane_scratch(1, 3).base(0), lanes.base(0));
+        // Each worker zeroes the lane it owns, inside the job.
+        pool.run(&|tid, _ctx| unsafe { again.zero(tid) });
+        for l in 0..2 {
+            let s = unsafe { std::slice::from_raw_parts(again.base(l), 8) };
+            assert!(s.iter().all(|&v| v == 0.0), "lane {l} not zeroed: {s:?}");
+        }
     }
 
     #[test]

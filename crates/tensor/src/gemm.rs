@@ -26,6 +26,22 @@
 //!   [`Gemm::compute`] with the same block sizes).
 //!
 //! Block sizes are configurable so the ablation benchmark can sweep them.
+//!
+//! # Weight-stationary operands
+//!
+//! [`Gemm::compute`] packs `op(B)` into `NR`-column panels on every call.
+//! When `B` is a read-only parameter reused by many calls — a conv
+//! layer's weights, multiplied once per batch item and tile — that
+//! strided gather dominates small-`m` calls. [`Gemm::pack_b`] fills a
+//! [`PackedB`] once, in exactly the `(jc, pc)` panel order the
+//! macro-kernel reads, and [`Gemm::compute_packed`] runs the same tiled
+//! path over those panels. The panels hold the same bytes, the
+//! micro-kernel and the k-blocking are the same, so results are
+//! **bit-identical** to [`Gemm::compute`]. A `PackedB` records the
+//! `(kc, nc)` it was packed under; handing it to an engine of another
+//! blocking is a [`PackError`], never silently misread panels. Shapes on
+//! the narrow row path (see [`Gemm::packs_b`]) read `B` unpacked and are
+//! rejected too.
 
 /// Rows of the register-blocked micro-kernel (A micro-panel height).
 pub const MR: usize = 4;
@@ -82,6 +98,109 @@ impl std::fmt::Display for BlockingError {
 }
 
 impl std::error::Error for BlockingError {}
+
+/// Why [`Gemm::compute_packed`] refused a [`PackedB`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackError {
+    /// The panels were packed under a different `(kc, nc)` blocking than
+    /// the engine's: the panel grid would be misread.
+    Blocking {
+        /// `(kc, nc)` the operand was packed with.
+        packed: (usize, usize),
+        /// `(kc, nc)` of the engine asked to read it.
+        engine: (usize, usize),
+    },
+    /// The shape takes the narrow row path, which reads `B` unpacked
+    /// (see [`Gemm::packs_b`]); a tiled run would reassociate the sum.
+    Narrow {
+        /// The output width.
+        n: usize,
+    },
+}
+
+impl std::fmt::Display for PackError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PackError::Blocking { packed, engine } => write!(
+                f,
+                "B was packed under (kc, nc) = {packed:?} but the engine blocks {engine:?}"
+            ),
+            PackError::Narrow { n } => {
+                write!(f, "n = {n} takes the narrow row path, which does not read packed B")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PackError {}
+
+/// `op(B)` packed once into the micro-panels [`Gemm::compute_packed`]
+/// reads — the weight-stationary operand.
+///
+/// Column block `jc` (width `nc`, the last one narrower) occupies
+/// `round_up(nb, NR) * k` elements starting at `jc * k`; inside it, the
+/// `kc`-deep block starting at `pc` begins `round_up(nb, NR) * pc` in.
+/// Because `nc` is a multiple of `NR`, the whole operand is
+/// [`PackedB::len_for`]`(k, n)` elements for every valid blocking, so a
+/// buffer sized once serves any engine.
+///
+/// The buffer is reusable: [`Gemm::pack_b`] overwrites it and grows it
+/// only past its capacity.
+#[derive(Debug, Clone, Default)]
+pub struct PackedB {
+    panels: Vec<f32>,
+    k: usize,
+    n: usize,
+    kc: usize,
+    nc: usize,
+}
+
+impl PackedB {
+    /// An empty operand with room for `elements` packed floats.
+    pub fn with_capacity(elements: usize) -> Self {
+        PackedB {
+            panels: Vec::with_capacity(elements),
+            ..PackedB::default()
+        }
+    }
+
+    /// Packed floats a `k x n` operand needs, for any valid blocking.
+    pub fn len_for(k: usize, n: usize) -> usize {
+        n.div_ceil(NR) * NR * k
+    }
+
+    /// The allocated capacity in floats.
+    pub fn capacity(&self) -> usize {
+        self.panels.capacity()
+    }
+
+    /// The logical `(k, n)` of the packed `op(B)`.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// The `kb x nb` panel block for column block `jc` and k block `pc`.
+    fn block(&self, jc: usize, nb: usize, pc: usize, kb: usize) -> &[f32] {
+        &self.panels[block_range(self.k, jc, nb, pc, kb)]
+    }
+}
+
+/// Where the `kb x nb` panel block of column block `jc` (width `nb`) and
+/// k block `pc` sits in a [`PackedB`] of depth `k` (see its layout).
+fn block_range(k: usize, jc: usize, nb: usize, pc: usize, kb: usize) -> std::ops::Range<usize> {
+    let nbp = nb.div_ceil(NR) * NR;
+    let start = jc * k + nbp * pc;
+    start..start + nbp * kb
+}
+
+/// Where [`Gemm::compute_tiles`] takes its B panels from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// Pack `op(b)` per `(jc, pc)` block into the engine's own buffer.
+    Raw(Transpose, &'a [f32]),
+    /// Read panels packed ahead of time under this engine's blocking.
+    Packed(&'a PackedB),
+}
 
 /// A short, stable description of the instruction-set features the GEMM
 /// micro-kernel dispatches on for this host — part of the autotuner's
@@ -303,7 +422,79 @@ impl Gemm {
         let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
         // SAFETY: a single part owns every tile; `c` is exclusively
         // borrowed.
-        unsafe { self.compute_tiles(ta, tb, m, n, k, a, b, cp, 0, 1) };
+        unsafe { self.compute_tiles(ta, m, n, k, a, BSource::Raw(tb, b), cp, 0, 1) };
+    }
+
+    /// Whether [`Gemm::compute`] packs `op(B)` for this shape — `false`
+    /// on the narrow row path, which reads `B` in place. Only shapes for
+    /// which this holds can run from a [`PackedB`].
+    pub fn packs_b(ta: Transpose, n: usize) -> bool {
+        !is_narrow(ta, n)
+    }
+
+    /// Packs `op(B)` (`k x n` after the transpose, shapes as in
+    /// [`gemm_naive`]) into `dst` under this engine's blocking,
+    /// overwriting its previous contents. `dst` reallocates only when its
+    /// capacity is below [`PackedB::len_for`]`(k, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is shorter than the shape requires.
+    pub fn pack_b(&self, tb: Transpose, k: usize, n: usize, b: &[f32], dst: &mut PackedB) {
+        assert!(b.len() >= k * n, "B has {} elements, needs {}", b.len(), k * n);
+        dst.panels.resize(PackedB::len_for(k, n), 0.0);
+        (dst.k, dst.n, dst.kc, dst.nc) = (k, n, self.kc, self.nc);
+        for jc in (0..n).step_by(self.nc) {
+            let nb = self.nc.min(n - jc);
+            for pc in (0..k).step_by(self.kc) {
+                let kb = self.kc.min(k - pc);
+                let panel = &mut dst.panels[block_range(k, jc, nb, pc, kb)];
+                pack_b_panels(tb, b, k, n, pc, kb, jc, nb, panel);
+            }
+        }
+    }
+
+    /// Computes `C += op(A) * B` with `B` read from panels packed by
+    /// [`Gemm::pack_b`]; `m` and `op(A)` as in [`Gemm::compute`], `k` and
+    /// `n` from the operand. Bit-identical to [`Gemm::compute`] on the
+    /// unpacked operand with the same blocking.
+    ///
+    /// # Errors
+    ///
+    /// [`PackError::Blocking`] when `b` was packed under another
+    /// `(kc, nc)`; [`PackError::Narrow`] when the shape takes the narrow
+    /// row path (see [`Gemm::packs_b`]). `c` is untouched on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `c` is shorter than the shape requires.
+    pub fn compute_packed(
+        &mut self,
+        ta: Transpose,
+        m: usize,
+        a: &[f32],
+        b: &PackedB,
+        c: &mut [f32],
+    ) -> Result<(), PackError> {
+        let (k, n) = b.dims();
+        if (b.kc, b.nc) != (self.kc, self.nc) {
+            return Err(PackError::Blocking {
+                packed: (b.kc, b.nc),
+                engine: (self.kc, self.nc),
+            });
+        }
+        if !Self::packs_b(ta, n) {
+            return Err(PackError::Narrow { n });
+        }
+        check_lens(ta, Transpose::No, m, n, k, a.len(), b.panels.len(), c.len());
+        if m == 0 || n == 0 || k == 0 {
+            return Ok(());
+        }
+        let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
+        // SAFETY: a single part owns every tile; `c` is exclusively
+        // borrowed.
+        unsafe { self.compute_tiles(ta, m, n, k, a, BSource::Packed(b), cp, 0, 1) };
+        Ok(())
     }
 
     /// Computes `C += op(A) * op(B)` with the `(ic, jc)` macro-tile grid
@@ -339,7 +530,7 @@ impl Gemm {
         // Serial cases: narrow outputs (register-row path), problems too
         // small to amortize a fan-out, or a single-worker pool.
         let serial = pool.threads() <= 1
-            || is_narrow(ta, tb, n)
+            || is_narrow(ta, n)
             || 2 * m * n * k < MIN_PARALLEL_FLOPS;
         if serial {
             pool.run_gemm(&|tid, eng| {
@@ -365,7 +556,9 @@ impl Gemm {
                 // SAFETY: parts write disjoint macro-tiles of `c` (tile
                 // index mod nparts), and all engines share one blocking
                 // per the GemmPool contract.
-                unsafe { eng.compute_tiles(ta, tb, m, n, k, a, b, grid_c, tid, nparts) };
+                unsafe {
+                    eng.compute_tiles(ta, m, n, k, a, BSource::Raw(tb, b), grid_c, tid, nparts)
+                };
             }
         });
     }
@@ -386,7 +579,7 @@ impl Gemm {
         b: &[f32],
         c: &mut [f32],
     ) -> bool {
-        if !is_narrow(ta, tb, n) {
+        if !is_narrow(ta, n) {
             return false;
         }
         let pb: &[f32] = if tb == Transpose::Yes {
@@ -423,7 +616,9 @@ impl Gemm {
 
     /// Computes the macro-tiles whose flat index `t ≡ part (mod nparts)`
     /// over the `(jc, ic)` grid, looping `pc` blocks innermost per column
-    /// so each tile's k-reduction order is partition-invariant.
+    /// so each tile's k-reduction order is partition-invariant. B panels
+    /// come from `b`: packed here per `(jc, pc)` block, or read from a
+    /// [`PackedB`] packed in that same order under this blocking.
     ///
     /// # Safety
     ///
@@ -434,12 +629,11 @@ impl Gemm {
     unsafe fn compute_tiles(
         &mut self,
         ta: Transpose,
-        tb: Transpose,
         m: usize,
         n: usize,
         k: usize,
         a: &[f32],
-        b: &[f32],
+        b: BSource<'_>,
         c: CPtr,
         part: usize,
         nparts: usize,
@@ -450,12 +644,14 @@ impl Gemm {
         let n_jc = n.div_ceil(nc);
         // Ensure pack capacity once; panels overwrite (and re-pad) fully.
         let cap_a = mc.div_ceil(MR) * MR * kc;
-        let cap_b = nc.div_ceil(NR) * NR * kc;
         if self.pack_a.len() < cap_a {
             self.pack_a.resize(cap_a, 0.0);
         }
-        if self.pack_b.len() < cap_b {
-            self.pack_b.resize(cap_b, 0.0);
+        if let BSource::Raw(..) = b {
+            let cap_b = nc.div_ceil(NR) * NR * kc;
+            if self.pack_b.len() < cap_b {
+                self.pack_b.resize(cap_b, 0.0);
+            }
         }
         for jci in 0..n_jc {
             let owns_any = (0..n_ic).any(|ici| (jci * n_ic + ici) % nparts == part);
@@ -466,7 +662,13 @@ impl Gemm {
             let nb = nc.min(n - jc);
             for pc in (0..k).step_by(kc) {
                 let kb = kc.min(k - pc);
-                pack_b_panels(tb, b, k, n, pc, kb, jc, nb, &mut self.pack_b);
+                let bp: &[f32] = match b {
+                    BSource::Raw(tb, b) => {
+                        pack_b_panels(tb, b, k, n, pc, kb, jc, nb, &mut self.pack_b);
+                        &self.pack_b
+                    }
+                    BSource::Packed(pb) => pb.block(jc, nb, pc, kb),
+                };
                 for ici in 0..n_ic {
                     if (jci * n_ic + ici) % nparts != part {
                         continue;
@@ -474,58 +676,65 @@ impl Gemm {
                     let ic = ici * mc;
                     let mb = mc.min(m - ic);
                     pack_a_panels(ta, a, m, k, ic, mb, pc, kb, &mut self.pack_a);
-                    self.macro_kernel(ic, mb, jc, nb, kb, n, c);
+                    // SAFETY: tile ownership per this function's contract.
+                    unsafe { macro_kernel(self.fma, &self.pack_a, bp, ic, mb, jc, nb, kb, n, c) };
                 }
             }
         }
     }
+}
 
-    /// Runs the register-blocked micro-kernel over one packed
-    /// `mb x nb x kb` macro-tile and accumulates into `C`.
-    ///
-    /// # Safety
-    ///
-    /// `c` must cover rows `[ic, ic+mb)` x cols `[jc, jc+nb)` of an
-    /// `? x n` matrix with no concurrent writer for that region.
-    #[allow(clippy::too_many_arguments)] // a macro-tile is six coordinates
-    unsafe fn macro_kernel(
-        &self,
-        ic: usize,
-        mb: usize,
-        jc: usize,
-        nb: usize,
-        kb: usize,
-        n: usize,
-        c: CPtr,
-    ) {
-        for j0 in (0..nb).step_by(NR) {
-            let nrb = NR.min(nb - j0);
-            let bp = &self.pack_b[(j0 / NR) * kb * NR..][..kb * NR];
-            for i0 in (0..mb).step_by(MR) {
-                let mrb = MR.min(mb - i0);
-                let ap = &self.pack_a[(i0 / MR) * kb * MR..][..kb * MR];
-                let mut acc = [0.0f32; MR * NR];
-                #[cfg(target_arch = "x86_64")]
-                if self.fma {
-                    // SAFETY: `fma` is set only when AVX2+FMA were
-                    // detected at engine construction.
-                    unsafe { kernel_mr_nr_fma(kb, ap, bp, &mut acc) };
-                } else {
-                    kernel_mr_nr(kb, ap, bp, &mut acc);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
+/// Runs the register-blocked micro-kernel over one packed
+/// `mb x nb x kb` macro-tile (`ap`, `bp`: its A and B panels) and
+/// accumulates into `C`.
+///
+/// # Safety
+///
+/// `c` must cover rows `[ic, ic+mb)` x cols `[jc, jc+nb)` of an
+/// `? x n` matrix with no concurrent writer for that region; `fma` may be
+/// set only when AVX2+FMA were detected.
+#[allow(clippy::too_many_arguments)] // a macro-tile is six coordinates
+unsafe fn macro_kernel(
+    fma: bool,
+    ap_all: &[f32],
+    bp_all: &[f32],
+    ic: usize,
+    mb: usize,
+    jc: usize,
+    nb: usize,
+    kb: usize,
+    n: usize,
+    c: CPtr,
+) {
+    for j0 in (0..nb).step_by(NR) {
+        let nrb = NR.min(nb - j0);
+        let bp = &bp_all[(j0 / NR) * kb * NR..][..kb * NR];
+        for i0 in (0..mb).step_by(MR) {
+            let mrb = MR.min(mb - i0);
+            let ap = &ap_all[(i0 / MR) * kb * MR..][..kb * MR];
+            let mut acc = [0.0f32; MR * NR];
+            #[cfg(target_arch = "x86_64")]
+            if fma {
+                // SAFETY: `fma` is set only when AVX2+FMA were detected
+                // at engine construction.
+                unsafe { kernel_mr_nr_fma(kb, ap, bp, &mut acc) };
+            } else {
                 kernel_mr_nr(kb, ap, bp, &mut acc);
-                // Write back the valid region of the tile.
-                for r in 0..mrb {
-                    let row = ic + i0 + r;
-                    let start = row * n + jc + j0;
-                    debug_assert!(start + nrb <= c.len);
-                    // SAFETY: region ownership per the function contract.
-                    let crow =
-                        unsafe { std::slice::from_raw_parts_mut(c.ptr.add(start), nrb) };
-                    for (cv, av) in crow.iter_mut().zip(&acc[r * NR..r * NR + nrb]) {
-                        *cv += av;
-                    }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                let _ = fma;
+                kernel_mr_nr(kb, ap, bp, &mut acc);
+            }
+            // Write back the valid region of the tile.
+            for r in 0..mrb {
+                let row = ic + i0 + r;
+                let start = row * n + jc + j0;
+                debug_assert!(start + nrb <= c.len);
+                // SAFETY: region ownership per the function contract.
+                let crow = unsafe { std::slice::from_raw_parts_mut(c.ptr.add(start), nrb) };
+                for (cv, av) in crow.iter_mut().zip(&acc[r * NR..r * NR + nrb]) {
+                    *cv += av;
                 }
             }
         }
@@ -544,7 +753,7 @@ fn detect_fma() -> bool {
     }
 }
 
-fn is_narrow(ta: Transpose, _tb: Transpose, n: usize) -> bool {
+fn is_narrow(ta: Transpose, n: usize) -> bool {
     // The narrow path reads A row-wise, so it requires untransposed A.
     ta == Transpose::No && n <= NARROW
 }
