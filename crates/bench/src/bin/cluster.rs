@@ -18,11 +18,10 @@ use std::sync::Arc;
 use latte_bench::json::{parse, Json};
 use latte_core::{compile, OptLevel};
 use latte_nn::models::{mlp, ModelConfig};
-use latte_runtime::cluster::SyncMode;
 use latte_runtime::data::Batch;
 use latte_runtime::dist::{DistStats, DistTrainer};
 use latte_runtime::fault::{Fault, FaultPlan, FaultyTransport};
-use latte_runtime::ring::CommPolicy;
+use latte_runtime::ring::{CommPolicy, SyncMode};
 use latte_runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
 use latte_runtime::transport::{channel_group, channel_group_with};
 use latte_runtime::Executor;

@@ -4,6 +4,8 @@
 use latte_ir::{BufferDecl, BufferKind, Stmt};
 use std::fmt;
 
+use crate::trace::Fingerprint;
+
 /// Which pass of network execution a group belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -268,40 +270,44 @@ impl CompiledNet {
     /// recompiling (see `latte-serve`). `CompileStats` is excluded too:
     /// it carries wall-clock pass timings, not program identity.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a, 64-bit: dependency-free and stable across platforms.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fingerprint::new();
+        h.usize(self.buffers.len());
         for b in &self.buffers {
-            eat(b.name.as_bytes());
-            eat(format!(";{:?};{:?};{:?}|", b.shape.dims(), b.kind, b.alias_of).as_bytes());
+            h.str(&b.name);
+            h.usize(b.shape.dims().len());
+            for &d in b.shape.dims() {
+                h.usize(d);
+            }
+            h.u64(b.kind as u64);
+            h.str(b.alias_of.as_deref().unwrap_or(""));
+            h.bool(b.alias_of.is_some());
         }
+        h.usize(self.params.len());
         for p in &self.params {
-            eat(p.value.as_bytes());
-            eat(p.grad.as_bytes());
-            eat(&p.lr_mult.to_bits().to_le_bytes());
+            h.str(&p.value);
+            h.str(&p.grad);
+            h.f32(p.lr_mult);
         }
+        h.usize(self.inputs.len());
         for i in &self.inputs {
-            eat(i.ensemble.as_bytes());
-            eat(i.buffer.as_bytes());
+            h.str(&i.ensemble);
+            h.str(&i.buffer);
         }
+        h.usize(self.losses.len());
         for l in &self.losses {
-            eat(l.as_bytes());
+            h.str(l);
         }
+        h.usize(self.param_inits.len());
         for (name, init) in &self.param_inits {
-            eat(name.as_bytes());
-            for v in init {
-                eat(&v.to_bits().to_le_bytes());
+            h.str(name);
+            h.usize(init.len());
+            for &v in init {
+                h.f32(v);
             }
         }
-        eat(&[u8::from(self.vectorize)]);
-        eat(self.pretty().as_bytes());
-        h
+        h.bool(self.vectorize);
+        h.str(&self.pretty());
+        h.finish()
     }
 
     /// Pretty-prints the whole program (both phases), mainly for tests

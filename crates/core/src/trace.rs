@@ -34,49 +34,74 @@ use crate::dsl::{EnsembleKind, Net, SourceRegion};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An FNV-1a accumulator with length-prefixed field framing (so
-/// `("ab","c")` and `("a","bc")` hash differently).
-struct Hasher(u64);
+/// The workspace's one fingerprint hasher: FNV-1a, 64-bit (dependency-free
+/// and stable across platforms), with length-prefixed field framing (so
+/// `("ab","c")` and `("a","bc")` hash differently). Trace keys
+/// ([`structure_hash`]), compiled-program identities
+/// ([`crate::CompiledNet::fingerprint`]) and the distributed handshake
+/// all hash through it.
+#[derive(Debug, Clone)]
+pub struct Fingerprint(u64);
 
-impl Hasher {
-    fn new() -> Self {
-        Hasher(FNV_OFFSET)
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint(FNV_OFFSET)
+    }
+}
+
+impl Fingerprint {
+    /// A fresh hasher.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Feeds a byte string, prefixed with its length.
+    pub fn bytes(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Feeds a `u64` as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
-    fn i64(&mut self, v: i64) {
+    /// Feeds one `i64` field.
+    pub fn i64(&mut self, v: i64) {
         self.u64(v as u64);
     }
 
-    fn usize(&mut self, v: usize) {
+    /// Feeds one `usize` field.
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    fn str(&mut self, s: &str) {
+    /// Feeds one `str` field.
+    pub fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
 
-    fn bool(&mut self, v: bool) {
+    /// Feeds one `bool` field.
+    pub fn bool(&mut self, v: bool) {
         self.u64(v as u64);
     }
 
-    fn f32(&mut self, v: f32) {
+    /// Feeds one `f32` field.
+    pub fn f32(&mut self, v: f32) {
         self.u64(v.to_bits() as u64);
     }
 
-    fn f64(&mut self, v: f64) {
+    /// Feeds one `f64` field.
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 }
@@ -263,7 +288,7 @@ fn unflatten(mut flat: usize, dims: &[usize]) -> Vec<usize> {
     idx
 }
 
-fn hash_region(h: &mut Hasher, region: &SourceRegion) {
+fn hash_region(h: &mut Fingerprint, region: &SourceRegion) {
     h.usize(region.ranges.len());
     for r in &region.ranges {
         h.i64(r.start as i64);
@@ -288,7 +313,7 @@ fn hash_region(h: &mut Hasher, region: &SourceRegion) {
 /// policy in DESIGN.md §15 spells out why recorded workloads never do
 /// that.
 pub fn structure_hash(net: &Net) -> u64 {
-    let mut h = Hasher::new();
+    let mut h = Fingerprint::new();
     h.usize(net.len());
     for (id, ens) in net.ensembles() {
         h.str("E");
@@ -394,7 +419,7 @@ pub fn structure_hash(net: &Net) -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

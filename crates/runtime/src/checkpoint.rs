@@ -14,18 +14,25 @@
 //! the magic. The solver section trails the weight entries, so readers
 //! that only want weights ([`load_checkpoint`]) skip it for free.
 //!
-//! Writes are **atomic**: the payload is serialized to a sibling
-//! temporary file, synced, and `rename`d into place, so a crash
-//! mid-write leaves the previous checkpoint intact (at worst a stale
-//! `*.tmp` sibling that readers never look at). Reads verify the CRC
-//! before any byte is interpreted, so truncated or bit-flipped files are
-//! rejected with a clear error instead of restoring garbage weights.
+//! Writes are **atomic** ([`crate::frame::write_atomic`]): the payload
+//! is serialized to a sibling temporary file, synced, and `rename`d into
+//! place, so a crash mid-write leaves the previous checkpoint intact (at
+//! worst a stale `*.tmp` sibling that readers never look at). Reads
+//! verify the CRC before any byte is interpreted, so truncated or
+//! bit-flipped files are rejected with a clear error instead of
+//! restoring garbage weights.
 
 use std::path::Path;
 
 use crate::error::RuntimeError;
 use crate::exec::Executor;
+use crate::frame::{seal, write_atomic};
 use crate::solver::SolverState;
+
+/// Sibling temporary path the atomic write goes through (see
+/// [`crate::frame::tmp_path`]); exposed for tests that simulate a crash
+/// mid-write.
+pub use crate::frame::tmp_path;
 
 const MAGIC: &[u8; 8] = b"LATTEwt2";
 const MAGIC_V1: &[u8; 8] = b"LATTEwts";
@@ -149,25 +156,8 @@ pub fn save_checkpoint_full(
             }
         }
     }
-    let crc = crc32(&payload);
-
-    let tmp = tmp_path(path);
-    let write = |dst: &Path| -> std::io::Result<()> {
-        use std::io::Write;
-        let mut file = std::fs::File::create(dst)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&payload)?;
-        file.write_all(&crc.to_le_bytes())?;
-        file.sync_all()
-    };
-    write(&tmp).map_err(|e| RuntimeError::io(format!("writing checkpoint `{}`", tmp.display()), e))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        RuntimeError::io(
-            format!("committing checkpoint `{}` into place", path.display()),
-            e,
-        )
-    })?;
-    Ok(())
+    write_atomic(path, &[MAGIC, &seal(payload)])
+        .map_err(|e| RuntimeError::io(format!("writing checkpoint `{}`", path.display()), e))
 }
 
 /// Restores parameters saved by [`save_params`]/[`save_checkpoint`] into
@@ -311,17 +301,6 @@ pub fn load_checkpoint_full(
         None
     };
     Ok((meta, solver))
-}
-
-/// Sibling temporary path used by the atomic write. Exposed for tests
-/// that simulate a crash mid-write.
-pub fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "checkpoint".into());
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// Bounds-checked little-endian reader over the verified payload.

@@ -1,5 +1,5 @@
-//! Cluster-level data parallelism as a discrete-event simulation
-//! (the paper's Section 6 and Figures 18–19).
+//! Cluster-level data parallelism as a discrete-event model (the
+//! paper's Section 6 and Figures 18–19).
 //!
 //! No MPI cluster exists in this environment, so the *machines* are
 //! modeled while the *algorithm* is reproduced exactly: gradient
@@ -15,78 +15,12 @@
 //! is a latency/bandwidth model with a single NIC per node (transfers
 //! serialize).
 //!
-//! [`simulate_run`] extends the fault-free [`simulate_iteration`] to a
-//! multi-iteration simulation under an injected [`FaultPlan`]: transfers
-//! time out and are retried with bounded exponential backoff, stragglers
-//! are detected against a rolling per-layer time estimate, and when a
-//! node is declared dead the run degrades from synchronized all-reduce
-//! to the paper's lossy unsynchronized mode over the surviving nodes.
+//! The model covers fault-free scaling only. Faults — retries and
+//! backoff, straggler detection, eviction, and the degradation to lossy
+//! all-reduce — run on real frames in [`crate::ring`], driven by
+//! [`crate::fault::FaultyTransport`] plans.
 
 use crate::error::RuntimeError;
-use crate::fault::{FaultPlan, TransferFault};
-use crate::health::scan_slice;
-use crate::metrics::FaultMetrics;
-
-/// Merges per-node gradient contributions into their mean, **rejecting**
-/// any contribution containing a non-finite value — the containment half
-/// of the degraded all-reduce. Summing one NaN into the ring would
-/// poison every replica within a single iteration, so a poisoned
-/// contribution is dropped entirely (and counted in
-/// [`FaultMetrics::gradients_rejected`]) rather than merged.
-///
-/// Returns the element-wise mean over the **accepted** contributions and
-/// the indices of the rejected ones. When every contribution is rejected
-/// the merged gradient is all zeros: a skipped update is the only safe
-/// aggregate of exclusively-poisoned inputs.
-///
-/// # Errors
-///
-/// [`RuntimeError::InvalidConfig`] when `contributions` is empty or the
-/// contributions disagree on length.
-pub fn merge_finite_gradients(
-    contributions: &[&[f32]],
-    metrics: &FaultMetrics,
-) -> Result<(Vec<f32>, Vec<usize>), RuntimeError> {
-    let first = contributions.first().ok_or_else(|| RuntimeError::InvalidConfig {
-        detail: "all-reduce needs at least one gradient contribution".into(),
-    })?;
-    let len = first.len();
-    let mut accepted = Vec::with_capacity(contributions.len());
-    let mut rejected = Vec::new();
-    for (node, c) in contributions.iter().enumerate() {
-        if c.len() != len {
-            return Err(RuntimeError::InvalidConfig {
-                detail: format!(
-                    "all-reduce contribution from node {node} has {} elements, \
-                     the ring agreed on {len}",
-                    c.len()
-                ),
-            });
-        }
-        // Exhaustive scan: a single hidden NaN is enough to poison the
-        // merge, so sampling is not an option here.
-        if scan_slice(c, 1).is_some() {
-            rejected.push(node);
-            FaultMetrics::bump(&metrics.gradients_rejected);
-        } else {
-            accepted.push(node);
-        }
-    }
-    let mut merged = vec![0.0f32; len];
-    if accepted.is_empty() {
-        return Ok((merged, rejected));
-    }
-    for &node in &accepted {
-        for (m, &g) in merged.iter_mut().zip(contributions[node]) {
-            *m += g;
-        }
-    }
-    let scale = 1.0 / accepted.len() as f32;
-    for m in &mut merged {
-        *m *= scale;
-    }
-    Ok((merged, rejected))
-}
 
 /// A network fabric model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -206,404 +140,6 @@ pub fn simulate_iteration(
         comm_ms,
         exposed_comm_ms: (nic_free - t).max(0.0),
         total_ms: total,
-    }
-}
-
-/// Recovery policy for the fault-aware simulation ([`simulate_run`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPolicy {
-    /// Milliseconds a receiver waits for a transfer before declaring it
-    /// dropped and requesting a retransmit.
-    pub transfer_timeout_ms: f64,
-    /// Retransmits allowed per transfer before the sender is declared
-    /// dead.
-    pub max_retries: u32,
-    /// First-retry backoff in milliseconds; doubles per attempt.
-    pub backoff_base_ms: f64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: f64,
-    /// A node is flagged as a straggler when one of its per-layer times
-    /// exceeds the rolling estimate by this factor (> 1).
-    pub straggler_threshold: f64,
-    /// Iterations observed before straggler detection arms (the rolling
-    /// estimate needs history).
-    pub straggler_grace_iters: usize,
-    /// EWMA weight of the newest observation in the rolling per-layer
-    /// estimate, in `(0, 1]`.
-    pub ewma_alpha: f64,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            transfer_timeout_ms: 5.0,
-            max_retries: 3,
-            backoff_base_ms: 1.0,
-            backoff_cap_ms: 50.0,
-            straggler_threshold: 2.0,
-            straggler_grace_iters: 2,
-            ewma_alpha: 0.3,
-        }
-    }
-}
-
-impl FaultPolicy {
-    /// Rejects self-contradictory policies.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] when a bound is degenerate.
-    pub fn validate(&self) -> Result<(), RuntimeError> {
-        let bad = |detail: &str| {
-            Err(RuntimeError::InvalidConfig {
-                detail: detail.to_string(),
-            })
-        };
-        if self.transfer_timeout_ms <= 0.0 {
-            return bad("fault policy: transfer timeout must be positive");
-        }
-        if self.max_retries == 0 {
-            return bad("fault policy: at least one retry is required");
-        }
-        if self.backoff_base_ms < 0.0 || self.backoff_cap_ms < self.backoff_base_ms {
-            return bad("fault policy: backoff cap must be >= base >= 0");
-        }
-        if self.straggler_threshold <= 1.0 {
-            return bad("fault policy: straggler threshold must exceed 1");
-        }
-        if self.ewma_alpha.is_nan() || self.ewma_alpha <= 0.0 || self.ewma_alpha > 1.0 {
-            return bad("fault policy: EWMA weight must be in (0, 1]");
-        }
-        Ok(())
-    }
-
-    /// Backoff before retry `attempt` (0-based): base doubled per
-    /// attempt, clamped to the cap.
-    pub fn backoff_ms(&self, attempt: u32) -> f64 {
-        let exp = attempt.min(52);
-        (self.backoff_base_ms * (1u64 << exp) as f64).min(self.backoff_cap_ms)
-    }
-}
-
-/// All-reduce synchronization mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Every live node contributes to every gradient sum; the slowest
-    /// node gates the iteration.
-    Synchronized,
-    /// The paper's lossy unsynchronized mode over a shrunken participant
-    /// set: nodes proceed without a barrier, so stragglers and dead
-    /// nodes no longer gate progress (at the cost of stale gradients).
-    LossyDegraded,
-}
-
-/// What happened during one simulated iteration of a faulty run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultyIterationReport {
-    /// Iteration index.
-    pub iter: usize,
-    /// End-to-end iteration milliseconds.
-    pub total_ms: f64,
-    /// Pure all-reduce milliseconds (excluding retry penalties).
-    pub comm_ms: f64,
-    /// Communication (and retry penalty) not hidden behind compute.
-    pub exposed_comm_ms: f64,
-    /// Milliseconds lost to timeouts and backoff this iteration.
-    pub retry_penalty_ms: f64,
-    /// Synchronization mode the iteration ran in.
-    pub mode: SyncMode,
-    /// Nodes participating in the all-reduce ring.
-    pub live_nodes: usize,
-    /// Nodes declared dead during this iteration (crash or exhausted
-    /// retry budget); they leave the ring at the next iteration.
-    pub newly_dead: Vec<usize>,
-    /// Nodes currently flagged as stragglers.
-    pub stragglers: Vec<usize>,
-}
-
-/// Result of a multi-iteration fault-aware simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterRunReport {
-    /// Per-iteration traces, in order.
-    pub iterations: Vec<FaultyIterationReport>,
-    /// Nodes still alive at the end.
-    pub live_nodes: usize,
-    /// Mode the run finished in.
-    pub final_mode: SyncMode,
-}
-
-impl ClusterRunReport {
-    /// Wall-clock milliseconds across every iteration.
-    pub fn total_ms(&self) -> f64 {
-        self.iterations.iter().map(|r| r.total_ms).sum()
-    }
-}
-
-/// Simulates `iters` data-parallel iterations under an injected
-/// [`FaultPlan`], applying `policy` for recovery and recording event
-/// counts into `metrics`.
-///
-/// Failure semantics:
-///
-/// - A [`crate::fault::Fault::NodeCrash`] removes the node at the start
-///   of its iteration; the run degrades to [`SyncMode::LossyDegraded`]
-///   over the surviving ring.
-/// - Dropped/corrupted transfers cost a timeout (drops only — corruption
-///   is detected on arrival) plus exponential backoff per retry; a
-///   transfer exceeding `policy.max_retries` marks its sender dead at
-///   the end of the iteration.
-/// - A [`crate::fault::Fault::GradPoison`] makes a node's gradient
-///   contribution non-finite: the all-reduce rejects the contribution
-///   (counted in [`FaultMetrics::gradients_rejected`], see
-///   [`merge_finite_gradients`]) and evicts the sender at the end of
-///   the iteration.
-/// - Straggler detection compares each node's per-layer compute time
-///   against a rolling EWMA estimate; flagged nodes are reported (and
-///   counted once per slow phase) but keep participating — in
-///   synchronized mode they gate the iteration, in degraded mode they
-///   do not.
-///
-/// # Errors
-///
-/// [`RuntimeError::InvalidConfig`] for an invalid policy, an empty
-/// cluster, or an empty layer list.
-pub fn simulate_run(
-    spec: &ClusterSpec,
-    layers: &[LayerProfile],
-    per_node_batch: usize,
-    iters: usize,
-    plan: &FaultPlan,
-    policy: &FaultPolicy,
-    metrics: &FaultMetrics,
-) -> Result<ClusterRunReport, RuntimeError> {
-    policy.validate()?;
-    if spec.nodes == 0 {
-        return Err(RuntimeError::InvalidConfig {
-            detail: "cluster must have at least one node".into(),
-        });
-    }
-    if layers.is_empty() {
-        return Err(RuntimeError::InvalidConfig {
-            detail: "cluster simulation needs at least one layer".into(),
-        });
-    }
-    let items = per_node_batch as f64;
-    let mut alive = vec![true; spec.nodes];
-    let mut straggling = vec![false; spec.nodes];
-    let mut mode = SyncMode::Synchronized;
-    // Rolling per-layer estimate of a healthy node's fwd+bwd time.
-    let mut layer_est: Vec<Option<f64>> = vec![None; layers.len()];
-    let mut reports = Vec::with_capacity(iters);
-
-    for iter in 0..iters {
-        let mut newly_dead = Vec::new();
-        for (node, up) in alive.iter_mut().enumerate() {
-            if *up && plan.crashed_by(node, iter) {
-                *up = false;
-                newly_dead.push(node);
-                FaultMetrics::bump(&metrics.nodes_failed);
-            }
-        }
-        let live: Vec<usize> = (0..spec.nodes).filter(|&n| alive[n]).collect();
-        if live.is_empty() {
-            // Every node is gone; nothing further can execute.
-            break;
-        }
-        if live.len() < spec.nodes {
-            mode = SyncMode::LossyDegraded;
-        }
-
-        // Per-live-node, per-layer compute (fwd + bwd) with straggler
-        // slowdown applied.
-        let node_layer_ms: Vec<Vec<f64>> = live
-            .iter()
-            .map(|&n| {
-                let factor = plan.straggle_factor(n, iter);
-                layers
-                    .iter()
-                    .map(|l| {
-                        (2.0 * l.fixed_ms + (l.fwd_ms_per_item + l.bwd_ms_per_item) * items)
-                            * factor
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Straggler detection against the rolling per-layer estimate.
-        let mut stragglers = Vec::new();
-        if iter >= policy.straggler_grace_iters {
-            for (li, &n) in live.iter().enumerate() {
-                let slow = layer_est.iter().enumerate().any(|(l, est)| {
-                    est.map(|e| node_layer_ms[li][l] > policy.straggler_threshold * e)
-                        .unwrap_or(false)
-                });
-                if slow {
-                    if !straggling[n] {
-                        straggling[n] = true;
-                        FaultMetrics::bump(&metrics.stragglers_detected);
-                    }
-                    stragglers.push(n);
-                } else {
-                    straggling[n] = false;
-                }
-            }
-        }
-
-        // Retry penalties from injected transfer faults, per layer.
-        // A node whose faults exceed the retry budget is declared dead at
-        // the end of the iteration (the ring shrinks from the next one).
-        let ring = live.len();
-        let mut layer_penalty_ms = vec![0.0; layers.len()];
-        let mut retry_penalty_ms = 0.0;
-        for (l, _) in layers.iter().enumerate() {
-            for &n in &live {
-                let faults = plan.transfer_faults(n, iter, l);
-                if faults.is_empty() {
-                    continue;
-                }
-                if faults.len() as u32 > policy.max_retries {
-                    // Budget exhausted: give up on this sender.
-                    if !newly_dead.contains(&n) {
-                        alive[n] = false;
-                        newly_dead.push(n);
-                        FaultMetrics::bump(&metrics.nodes_failed);
-                    }
-                }
-                for (attempt, fault) in faults.iter().enumerate() {
-                    if attempt as u32 >= policy.max_retries {
-                        break;
-                    }
-                    let detect_ms = match fault {
-                        TransferFault::Dropped => {
-                            FaultMetrics::bump(&metrics.transfers_dropped);
-                            policy.transfer_timeout_ms
-                        }
-                        TransferFault::Corrupted => {
-                            FaultMetrics::bump(&metrics.transfers_corrupted);
-                            0.0
-                        }
-                    };
-                    FaultMetrics::bump(&metrics.retries);
-                    let penalty = detect_ms + policy.backoff_ms(attempt as u32);
-                    layer_penalty_ms[l] += penalty;
-                    retry_penalty_ms += penalty;
-                }
-            }
-        }
-
-        // Non-finite gradient contributions (injected numerical poison)
-        // are rejected by the all-reduce instead of merged — see
-        // [`merge_finite_gradients`] — and the sender is evicted like
-        // any other faulty node: a replica producing NaNs once cannot
-        // be trusted to stop.
-        for &n in &live {
-            if plan.grad_poisoned(n, iter) {
-                FaultMetrics::bump(&metrics.gradients_rejected);
-                if !newly_dead.contains(&n) {
-                    alive[n] = false;
-                    newly_dead.push(n);
-                    FaultMetrics::bump(&metrics.nodes_failed);
-                }
-            }
-        }
-
-        // Timing. Synchronized: the slowest live node gates every layer,
-        // NIC FIFO overlap as in `simulate_iteration`. Degraded (lossy,
-        // unsynchronized): no barrier, so the iteration advances at the
-        // *mean* live-node pace and communication overlaps fully except
-        // for NIC saturation.
-        let comm_per_layer: Vec<f64> = layers
-            .iter()
-            .map(|l| spec.network.allreduce_time(l.grad_bytes, ring) * 1e3)
-            .collect();
-        let comm_ms: f64 = comm_per_layer.iter().sum();
-        let report = match mode {
-            SyncMode::Synchronized => {
-                let max_layer = |l: usize| {
-                    (0..live.len())
-                        .map(|li| node_layer_ms[li][l])
-                        .fold(0.0f64, f64::max)
-                };
-                // Forward is modeled as a fixed share of each layer's
-                // combined time; the NIC schedule only depends on the
-                // backward suffix, so split by the profile's fwd share.
-                let mut t = 0.0;
-                for (l, layer) in layers.iter().enumerate() {
-                    t += max_layer(l) * fwd_share(layer, items);
-                }
-                let mut nic_free = t;
-                for l in (0..layers.len()).rev() {
-                    let share = 1.0 - fwd_share(&layers[l], items);
-                    t += max_layer(l) * share;
-                    let start = t.max(nic_free);
-                    nic_free = start + comm_per_layer[l] + layer_penalty_ms[l];
-                }
-                FaultyIterationReport {
-                    iter,
-                    total_ms: t.max(nic_free),
-                    comm_ms,
-                    exposed_comm_ms: (nic_free - t).max(0.0),
-                    retry_penalty_ms,
-                    mode,
-                    live_nodes: ring,
-                    newly_dead: newly_dead.clone(),
-                    stragglers: stragglers.clone(),
-                }
-            }
-            SyncMode::LossyDegraded => {
-                FaultMetrics::bump(&metrics.degraded_iterations);
-                let mean_compute: f64 = node_layer_ms
-                    .iter()
-                    .map(|ls| ls.iter().sum::<f64>())
-                    .sum::<f64>()
-                    / live.len() as f64;
-                let nic_busy = comm_ms + retry_penalty_ms;
-                FaultyIterationReport {
-                    iter,
-                    total_ms: mean_compute.max(nic_busy),
-                    comm_ms,
-                    exposed_comm_ms: (nic_busy - mean_compute).max(0.0),
-                    retry_penalty_ms,
-                    mode,
-                    live_nodes: ring,
-                    newly_dead: newly_dead.clone(),
-                    stragglers: stragglers.clone(),
-                }
-            }
-        };
-
-        // Fold healthy observations into the rolling estimate: the
-        // *median* live node, so stragglers do not poison the baseline.
-        for (l, est) in layer_est.iter_mut().enumerate() {
-            let mut obs: Vec<f64> = (0..live.len()).map(|li| node_layer_ms[li][l]).collect();
-            obs.sort_by(|a, b| a.total_cmp(b));
-            let median = obs[obs.len() / 2];
-            *est = Some(match est {
-                Some(e) => policy.ewma_alpha * median + (1.0 - policy.ewma_alpha) * *e,
-                None => median,
-            });
-        }
-        if !newly_dead.is_empty() {
-            mode = SyncMode::LossyDegraded;
-        }
-        reports.push(report);
-    }
-
-    Ok(ClusterRunReport {
-        live_nodes: alive.iter().filter(|a| **a).count(),
-        final_mode: mode,
-        iterations: reports,
-    })
-}
-
-/// Fraction of a layer's combined (fwd + bwd) time spent in forward.
-fn fwd_share(l: &LayerProfile, items: f64) -> f64 {
-    let fwd = l.fixed_ms + l.fwd_ms_per_item * items;
-    let both = 2.0 * l.fixed_ms + (l.fwd_ms_per_item + l.bwd_ms_per_item) * items;
-    if both <= 0.0 {
-        0.5
-    } else {
-        fwd / both
     }
 }
 
@@ -920,325 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_run_matches_single_iteration_model() {
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let layers = vgg_like_layers();
-        let metrics = FaultMetrics::new();
-        let run = simulate_run(
-            &spec,
-            &layers,
-            64,
-            5,
-            &FaultPlan::none(),
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        let one = simulate_iteration(&spec, &layers, 64);
-        assert_eq!(run.iterations.len(), 5);
-        assert_eq!(run.final_mode, SyncMode::Synchronized);
-        assert_eq!(run.live_nodes, 4);
-        for r in &run.iterations {
-            assert!(
-                (r.total_ms - one.total_ms).abs() < 1e-6,
-                "faulty sim must reduce to the fault-free model: {} vs {}",
-                r.total_ms,
-                one.total_ms
-            );
-            assert!(r.stragglers.is_empty() && r.newly_dead.is_empty());
-        }
-        assert_eq!(metrics.snapshot(), Default::default());
-    }
-
-    #[test]
-    fn node_crash_degrades_to_lossy_over_survivors() {
-        use crate::fault::Fault;
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let metrics = FaultMetrics::new();
-        let plan = FaultPlan::new(vec![Fault::NodeCrash { node: 2, iter: 3 }]);
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            8,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(run.iterations[2].mode, SyncMode::Synchronized);
-        assert_eq!(run.iterations[2].live_nodes, 4);
-        assert_eq!(run.iterations[3].newly_dead, vec![2]);
-        assert_eq!(run.iterations[3].mode, SyncMode::LossyDegraded);
-        assert_eq!(run.iterations[3].live_nodes, 3, "ring excludes the dead node");
-        assert_eq!(run.iterations[7].live_nodes, 3);
-        assert_eq!(run.live_nodes, 3);
-        assert_eq!(run.final_mode, SyncMode::LossyDegraded);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.nodes_failed, 1);
-        assert_eq!(snap.degraded_iterations, 5);
-    }
-
-    #[test]
-    fn straggler_is_detected_and_gates_only_synchronized_mode() {
-        use crate::fault::Fault;
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let metrics = FaultMetrics::new();
-        let plan = FaultPlan::new(vec![Fault::Straggler {
-            node: 1,
-            from_iter: 4,
-            to_iter: 7,
-            factor: 4.0,
-        }]);
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            10,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        assert!(run.iterations[3].stragglers.is_empty());
-        assert_eq!(run.iterations[4].stragglers, vec![1]);
-        assert_eq!(run.iterations[6].stragglers, vec![1]);
-        assert!(run.iterations[7].stragglers.is_empty(), "recovers after phase");
-        // One detection per contiguous slow phase, not per iteration.
-        assert_eq!(metrics.snapshot().stragglers_detected, 1);
-        // In synchronized mode the straggler gates everyone.
-        let healthy = run.iterations[2].total_ms;
-        assert!(
-            run.iterations[5].total_ms > 2.0 * healthy,
-            "straggler must slow the synchronized iteration: {} vs {}",
-            run.iterations[5].total_ms,
-            healthy
-        );
-        assert_eq!(run.final_mode, SyncMode::Synchronized);
-    }
-
-    #[test]
-    fn single_node_ring_straggles_without_communication() {
-        use crate::fault::Fault;
-        // With one node the "ring" is trivial: no communication ever, and
-        // the median observation used for the rolling estimate IS the
-        // straggling node, so the estimate self-poisons after a couple of
-        // slow iterations and detection drops out mid-phase.
-        let spec = ClusterSpec {
-            nodes: 1,
-            network: NetworkModel::infiniband_like(),
-        };
-        let metrics = FaultMetrics::new();
-        let plan = FaultPlan::new(vec![Fault::Straggler {
-            node: 0,
-            from_iter: 3,
-            to_iter: 6,
-            factor: 4.0,
-        }]);
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            8,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(run.iterations.len(), 8);
-        assert_eq!(run.live_nodes, 1);
-        assert_eq!(run.final_mode, SyncMode::Synchronized);
-        for r in &run.iterations {
-            assert_eq!(r.comm_ms, 0.0, "one node has nobody to reduce with");
-            assert_eq!(r.exposed_comm_ms, 0.0);
-            assert_eq!(r.live_nodes, 1);
-        }
-        // Detection fires against the healthy history (est = h, observed
-        // 4h > 2h)...
-        assert_eq!(run.iterations[3].stragglers, vec![0]);
-        // ...survives one EWMA fold (est = 1.9h, 4h > 3.8h)...
-        assert_eq!(run.iterations[4].stragglers, vec![0]);
-        // ...then the straggled medians have dragged the estimate past
-        // the threshold (est = 2.53h, 4h < 5.06h): still slow, no longer
-        // flagged. One detection for the whole phase.
-        assert!(run.iterations[5].stragglers.is_empty());
-        assert!(run.iterations[6].stragglers.is_empty(), "healthy again");
-        assert_eq!(metrics.snapshot().stragglers_detected, 1);
-        // The slowdown itself is real regardless of flagging.
-        let healthy = run.iterations[1].total_ms;
-        assert!(run.iterations[5].total_ms > 2.0 * healthy);
-    }
-
-    #[test]
-    fn single_node_crash_ends_the_run() {
-        use crate::fault::Fault;
-        let spec = ClusterSpec {
-            nodes: 1,
-            network: NetworkModel::infiniband_like(),
-        };
-        let metrics = FaultMetrics::new();
-        let plan = FaultPlan::new(vec![Fault::NodeCrash { node: 0, iter: 2 }]);
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            5,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        // Nothing survives to run iteration 2; the trace truncates there.
-        assert_eq!(run.iterations.len(), 2);
-        assert_eq!(run.live_nodes, 0);
-        assert_eq!(metrics.snapshot().nodes_failed, 1);
-    }
-
-    #[test]
-    fn all_nodes_straggling_poisons_the_median_and_suppresses_detection() {
-        use crate::fault::Fault;
-        // The rolling estimate folds the *median* live node so that one
-        // straggler cannot poison the baseline — but when every node
-        // straggles the median is the straggled time, the estimate chases
-        // it, and detection goes quiet while the cluster is still slow.
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let metrics = FaultMetrics::new();
-        let faults = (0..4)
-            .map(|node| Fault::Straggler {
-                node,
-                from_iter: 4,
-                to_iter: 9,
-                factor: 4.0,
-            })
-            .collect();
-        let plan = FaultPlan::new(faults);
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            10,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        assert!(run.iterations[3].stragglers.is_empty());
-        // First two slow iterations: flagged against the healthy history.
-        assert_eq!(run.iterations[4].stragglers, vec![0, 1, 2, 3]);
-        assert_eq!(run.iterations[5].stragglers, vec![0, 1, 2, 3]);
-        // From the third slow iteration the EWMA has absorbed the
-        // straggled median (est = 2.53h, threshold 2x) and every node
-        // looks "normal" again — detection suppressed, not recovery.
-        assert!(run.iterations[6].stragglers.is_empty());
-        assert!(run.iterations[8].stragglers.is_empty());
-        let healthy = run.iterations[2].total_ms;
-        assert!(
-            run.iterations[8].total_ms > 2.0 * healthy,
-            "iteration is still gated by the slowdown: {} vs {}",
-            run.iterations[8].total_ms,
-            healthy
-        );
-        // One detection per node for the phase, no deaths, mode intact.
-        assert_eq!(metrics.snapshot().stragglers_detected, 4);
-        assert_eq!(metrics.snapshot().nodes_failed, 0);
-        assert_eq!(run.final_mode, SyncMode::Synchronized);
-        assert_eq!(run.live_nodes, 4);
-    }
-
-    #[test]
-    fn transfer_faults_cost_retries_and_exhaustion_kills_the_sender() {
-        use crate::fault::Fault;
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let policy = FaultPolicy {
-            max_retries: 2,
-            ..FaultPolicy::default()
-        };
-        // One recoverable drop at iter 1; three faults (over budget) from
-        // node 3 at iter 4.
-        let plan = FaultPlan::new(vec![
-            Fault::TransferDrop { node: 0, iter: 1, layer: 5 },
-            Fault::TransferDrop { node: 3, iter: 4, layer: 2 },
-            Fault::TransferCorrupt { node: 3, iter: 4, layer: 2 },
-            Fault::TransferDrop { node: 3, iter: 4, layer: 2 },
-        ]);
-        let metrics = FaultMetrics::new();
-        let run = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            8,
-            &plan,
-            &policy,
-            &metrics,
-        )
-        .unwrap();
-        assert!(run.iterations[1].retry_penalty_ms > 0.0);
-        assert_eq!(run.iterations[1].mode, SyncMode::Synchronized);
-        // Node 3 exhausts its budget during iter 4 and leaves the ring.
-        assert_eq!(run.iterations[4].newly_dead, vec![3]);
-        assert_eq!(run.iterations[5].live_nodes, 3);
-        assert_eq!(run.final_mode, SyncMode::LossyDegraded);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.nodes_failed, 1);
-        assert_eq!(snap.transfers_dropped, 2, "third fault exceeded the budget");
-        assert_eq!(snap.transfers_corrupted, 1);
-        assert_eq!(snap.retries, 3);
-    }
-
-    #[test]
-    fn degenerate_policies_are_rejected() {
-        let ok = FaultPolicy::default();
-        assert!(ok.validate().is_ok());
-        assert!(FaultPolicy { transfer_timeout_ms: 0.0, ..ok }.validate().is_err());
-        assert!(FaultPolicy { max_retries: 0, ..ok }.validate().is_err());
-        assert!(FaultPolicy { backoff_cap_ms: 0.1, backoff_base_ms: 1.0, ..ok }
-            .validate()
-            .is_err());
-        assert!(FaultPolicy { straggler_threshold: 1.0, ..ok }.validate().is_err());
-        assert!(FaultPolicy { ewma_alpha: 0.0, ..ok }.validate().is_err());
-        let spec = ClusterSpec {
-            nodes: 0,
-            network: NetworkModel::aries_like(),
-        };
-        let err = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            8,
-            1,
-            &FaultPlan::none(),
-            &ok,
-            &FaultMetrics::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RuntimeError::InvalidConfig { .. }));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = FaultPolicy::default();
-        assert_eq!(p.backoff_ms(0), 1.0);
-        assert_eq!(p.backoff_ms(1), 2.0);
-        assert_eq!(p.backoff_ms(2), 4.0);
-        assert_eq!(p.backoff_ms(10), 50.0, "clamped to the cap");
-        assert_eq!(p.backoff_ms(63), 50.0, "no shift overflow");
-    }
-
-    #[test]
     fn allreduce_time_scales_with_bytes_and_saturates_with_nodes() {
         let net = NetworkModel::aries_like();
         let t8 = net.allreduce_time(1e6, 8);
@@ -1246,174 +463,5 @@ mod tests {
         assert!(t16 < t8 * 1.5, "ring saturates: {t8} vs {t16}");
         assert!(net.allreduce_time(2e6, 8) > t8);
         assert_eq!(net.allreduce_time(1e6, 1), 0.0);
-    }
-
-    #[test]
-    fn merge_rejects_nonfinite_contributions() {
-        let metrics = FaultMetrics::new();
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [f32::NAN, 2.0, 3.0];
-        let c = [3.0f32, 4.0, f32::INFINITY];
-        let d = [5.0f32, 6.0, 7.0];
-        let (merged, rejected) =
-            merge_finite_gradients(&[&a, &b, &c, &d], &metrics).unwrap();
-        assert_eq!(rejected, vec![1, 2]);
-        assert_eq!(merged, vec![3.0, 4.0, 5.0], "mean of the two clean nodes");
-        assert_eq!(metrics.snapshot().gradients_rejected, 2);
-
-        // Every contribution poisoned: the only safe merge is a zero
-        // (skipped) update.
-        let (merged, rejected) = merge_finite_gradients(&[&b, &c], &metrics).unwrap();
-        assert_eq!(rejected, vec![0, 1]);
-        assert!(merged.iter().all(|&v| v == 0.0));
-
-        // Ill-formed rings are rejected outright.
-        assert!(merge_finite_gradients(&[], &metrics).is_err());
-        let short = [1.0f32];
-        assert!(merge_finite_gradients(&[&a, &short], &metrics).is_err());
-    }
-
-    #[test]
-    fn grad_poison_evicts_node_and_degrades_the_ring() {
-        use crate::fault::Fault;
-        let spec = ClusterSpec {
-            nodes: 4,
-            network: NetworkModel::infiniband_like(),
-        };
-        let plan = FaultPlan::new(vec![Fault::GradPoison { node: 1, iter: 2 }]);
-        let metrics = FaultMetrics::new();
-        let rep = simulate_run(
-            &spec,
-            &vgg_like_layers(),
-            64,
-            6,
-            &plan,
-            &FaultPolicy::default(),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(rep.iterations[2].newly_dead, vec![1]);
-        assert_eq!(rep.live_nodes, 3);
-        assert_eq!(rep.final_mode, SyncMode::LossyDegraded);
-        // The ring shrinks from the *next* iteration.
-        assert_eq!(rep.iterations[2].live_nodes, 4);
-        assert_eq!(rep.iterations[3].live_nodes, 3);
-        assert_eq!(rep.iterations[3].mode, SyncMode::LossyDegraded);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.gradients_rejected, 1);
-        assert_eq!(snap.nodes_failed, 1);
-    }
-
-    /// End-to-end containment over *real* executors: three replicas
-    /// train on shards with their gradients merged through
-    /// [`merge_finite_gradients`]; at one iteration node 1 contributes
-    /// NaN gradients. The merge must stay finite, the poisoned node must
-    /// be counted, and the survivors must keep converging.
-    #[test]
-    fn degraded_allreduce_survives_a_poisoned_replica() {
-        use latte_core::{compile, OptLevel};
-        use latte_nn::models::{mlp, ModelConfig};
-
-        let cfg = ModelConfig {
-            batch: 4,
-            input_size: 6,
-            channel_div: 1,
-            classes: 3,
-            with_loss: true,
-            seed: 33,
-        };
-        let nodes = 3;
-        let mut replicas: Vec<crate::exec::Executor> = (0..nodes)
-            .map(|_| {
-                crate::exec::Executor::new(
-                    compile(&mlp(&cfg, &[8]).net, &OptLevel::full()).unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let param_names: Vec<(String, String)> = replicas[0]
-            .params()
-            .iter()
-            .map(|b| (b.value.clone(), b.grad.clone()))
-            .collect();
-        // Master weights start from replica 0.
-        let mut master: Vec<Vec<f32>> = param_names
-            .iter()
-            .map(|(v, _)| replicas[0].read_buffer(v).unwrap())
-            .collect();
-
-        let shard = |node: usize, iter: usize| -> (Vec<f32>, Vec<f32>) {
-            let mut data = Vec::with_capacity(4 * 6);
-            let mut labels = Vec::with_capacity(4);
-            for item in 0..4 {
-                let class = (node + iter + item) % 3;
-                for j in 0..6 {
-                    data.push(if j % 3 == class { 1.0 } else { 0.1 });
-                }
-                labels.push(class as f32);
-            }
-            (data, labels)
-        };
-
-        let metrics = FaultMetrics::new();
-        let poisoned_iter = 5;
-        let mut first_loss = None;
-        let mut last_loss = 0.0f32;
-        for iter in 0..30 {
-            let mut contributions: Vec<Vec<Vec<f32>>> = Vec::with_capacity(nodes);
-            let mut losses = Vec::with_capacity(nodes);
-            for (node, exec) in replicas.iter_mut().enumerate() {
-                for ((v, _), m) in param_names.iter().zip(&master) {
-                    exec.write_buffer(v, m).unwrap();
-                }
-                let (data, labels) = shard(node, iter);
-                exec.set_input("data", &data).unwrap();
-                exec.set_input("label", &labels).unwrap();
-                exec.forward();
-                losses.push(exec.loss());
-                exec.backward();
-                let mut grads: Vec<Vec<f32>> = param_names
-                    .iter()
-                    .map(|(_, g)| exec.read_buffer(g).unwrap())
-                    .collect();
-                if node == 1 && iter == poisoned_iter {
-                    for g in &mut grads {
-                        for v in g.iter_mut() {
-                            *v = f32::NAN;
-                        }
-                    }
-                }
-                contributions.push(grads);
-            }
-            for (p, _) in param_names.iter().enumerate() {
-                let views: Vec<&[f32]> =
-                    contributions.iter().map(|c| c[p].as_slice()).collect();
-                let (merged, rejected) = merge_finite_gradients(&views, &metrics).unwrap();
-                assert!(
-                    merged.iter().all(|v| v.is_finite()),
-                    "merged gradient must stay finite"
-                );
-                if iter == poisoned_iter {
-                    assert_eq!(rejected, vec![1]);
-                }
-                for (m, g) in master[p].iter_mut().zip(&merged) {
-                    *m -= 0.1 * g;
-                }
-            }
-            let mean_loss = losses.iter().sum::<f32>() / nodes as f32;
-            first_loss.get_or_insert(mean_loss);
-            last_loss = mean_loss;
-        }
-        assert!(last_loss.is_finite());
-        assert!(
-            last_loss < first_loss.unwrap() * 0.5,
-            "survivors must keep converging: {} -> {last_loss}",
-            first_loss.unwrap()
-        );
-        // One poisoned contribution per parameter buffer.
-        assert_eq!(
-            metrics.snapshot().gradients_rejected,
-            param_names.len() as u64
-        );
     }
 }

@@ -24,30 +24,36 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::checkpoint::crc32;
-use crate::cluster::SyncMode;
+use latte_core::Fingerprint;
+
 use crate::error::RuntimeError;
 use crate::exec::{Executor, GradBucket};
 use crate::metrics::FaultMetrics;
-use crate::ring::{BucketReport, CommPolicy, RingComm};
+use crate::ring::{BucketReport, CommPolicy, RingComm, SyncMode};
 use crate::transport::Transport;
 
 /// Fingerprints the compiled program a rank is about to train, for the
 /// transport handshake: two processes whose batch size, parameters
 /// (names and sizes), or backward bucketing differ must not average
-/// gradients, whatever their binaries think. CRC32 over a canonical
-/// description, via the same [`crate::checkpoint::crc32`] as everything
-/// else.
+/// gradients, whatever their binaries think. Hashed with the
+/// workspace's one [`Fingerprint`] hasher and folded to the handshake's
+/// `u32` field.
 pub fn net_fingerprint(exec: &Executor) -> u32 {
-    let mut desc = format!("batch={};", exec.batch());
+    let mut h = Fingerprint::new();
+    h.usize(exec.batch());
+    h.usize(exec.params().len());
     for p in exec.params() {
-        let len = exec.read_buffer(&p.value).map(|v| v.len()).unwrap_or(0);
-        desc.push_str(&format!("param={}:{len};", p.value));
+        h.str(&p.value);
+        h.usize(exec.read_buffer(&p.value).map(|v| v.len()).unwrap_or(0));
     }
-    for b in exec.grad_buckets() {
-        desc.push_str(&format!("bucket={}:{};", b.group, b.name));
+    let buckets = exec.grad_buckets();
+    h.usize(buckets.len());
+    for b in buckets {
+        h.usize(b.group);
+        h.str(&b.name);
     }
-    crc32(desc.as_bytes())
+    let wide = h.finish();
+    (wide ^ (wide >> 32)) as u32
 }
 
 struct CommJob {

@@ -2,13 +2,13 @@
 //!
 //! A [`FaultPlan`] is an explicit schedule of failures — node crashes,
 //! straggler slowdowns, dropped/corrupted gradient transfers, checkpoint
-//! I/O errors, and whole-process deaths — that the cluster simulation
-//! ([`crate::cluster::simulate_run`]) and the training supervisor
-//! ([`crate::supervisor`]) consult at well-defined points. Plans are
-//! either written out by hand (tests pin exact scenarios) or generated
-//! pseudo-randomly from a seed ([`FaultPlan::random`]), so every failure
-//! scenario is reproducible bit-for-bit: same seed, same faults, same
-//! recovery trace.
+//! I/O errors, and whole-process deaths — that the real ring transport
+//! ([`FaultyTransport`] under [`crate::ring::RingComm`]) and the
+//! training supervisor ([`crate::supervisor`]) consult at well-defined
+//! points. Plans are either written out by hand (tests pin exact
+//! scenarios) or generated pseudo-randomly from a seed
+//! ([`FaultPlan::random`]), so every failure scenario is reproducible:
+//! same seed, same faults.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -100,15 +100,6 @@ pub enum Fault {
         /// Multiplier applied to the learning-rate schedule (> 1).
         factor: f32,
     },
-    /// Node `node`'s gradient contribution to iteration `iter`'s
-    /// all-reduce is non-finite; the merge detects and rejects it and
-    /// the node is declared faulty.
-    GradPoison {
-        /// The poisoned node.
-        node: usize,
-        /// The affected iteration.
-        iter: usize,
-    },
 }
 
 /// How a faulty transfer failed, as seen by the receiver.
@@ -136,10 +127,6 @@ pub struct FaultRates {
     pub transfer_drop: f64,
     /// Probability a node corrupts one transfer.
     pub transfer_corrupt: f64,
-    /// Probability a node contributes a non-finite gradient to one
-    /// all-reduce. Defaults to 0 (numerical poisoning is opt-in), which
-    /// also keeps plans from existing seeds bit-identical.
-    pub grad_poison: f64,
 }
 
 impl Default for FaultRates {
@@ -151,7 +138,6 @@ impl Default for FaultRates {
             straggle_len: 3,
             transfer_drop: 0.02,
             transfer_corrupt: 0.01,
-            grad_poison: 0.0,
         }
     }
 }
@@ -201,9 +187,6 @@ impl FaultPlan {
                 {
                     let layer = rng.gen_range(0..layers.max(1));
                     faults.push(Fault::TransferCorrupt { node, iter, layer });
-                }
-                if rates.grad_poison > 0.0 && rng.gen_range(0.0..1.0) < rates.grad_poison {
-                    faults.push(Fault::GradPoison { node, iter });
                 }
             }
         }
@@ -307,14 +290,6 @@ impl FaultPlan {
         None
     }
 
-    /// Whether `node`'s gradient contribution at `iter` is scheduled to
-    /// be non-finite. Persistent (never consumed); keyed per iteration.
-    pub fn grad_poisoned(&self, node: usize, iter: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::GradPoison { node: n, iter: i } if (*n, *i) == (node, iter))
-        })
-    }
-
     fn take_once(&mut self, matches: impl Fn(&Fault) -> bool) -> bool {
         for (i, f) in self.faults.iter().enumerate() {
             if !self.fired[i] && matches(f) {
@@ -327,15 +302,15 @@ impl FaultPlan {
 }
 
 /// A [`Wire`] wrapper that injects this module's deterministic fault
-/// plans into the *real* transport, so the same scenarios the cluster
-/// simulator replays symbolically also exercise the live ring:
+/// plans into the real transport — the one place cluster faults are
+/// modeled:
 ///
 /// * [`Fault::TransferDrop`] / [`Fault::TransferCorrupt`] apply to the
 ///   bucket's **first** data frame (reduce-scatter ring-step 0), keyed
 ///   by `(sender = node, step = iter, bucket = layer)`. The n-th plan
 ///   entry hits the n-th send attempt of that frame, so repeated
-///   entries eat into the receiver's retry budget exactly as the
-///   simulator documents — enough of them and the receiver evicts us.
+///   entries eat into the receiver's retry budget — enough of them and
+///   the receiver evicts us.
 /// * [`Fault::Straggler`] delays every data send by
 ///   `straggle_unit × (factor − 1)` during its window, which the
 ///   receiving side's EWMA straggler detector picks up.
@@ -344,8 +319,8 @@ impl FaultPlan {
 ///   so peers see timeouts and heal the ring around us.
 /// * [`Fault::ProcessDeath`] is *not* handled here: the worker binary
 ///   maps it to a real `process::exit`, and `BatchNaN` / `GradCorrupt` /
-///   `LrSpike` / `GradPoison` stay at the training layer where the data
-///   and solver live.
+///   `LrSpike` stay at the training layer where the data and solver
+///   live.
 ///
 /// The extra [`FaultyTransport::with_crash_after_sends`] knob (not part
 /// of [`FaultPlan`]) kills the wire after a fixed number of data frames
@@ -593,30 +568,6 @@ mod tests {
         assert_eq!(plan.take_lr_spike(1), None);
         assert_eq!(plan.take_lr_spike(2), Some(100.0));
         assert_eq!(plan.take_lr_spike(2), None);
-    }
-
-    #[test]
-    fn grad_poison_is_keyed_by_node_and_iteration() {
-        let plan = FaultPlan::new(vec![Fault::GradPoison { node: 1, iter: 4 }]);
-        assert!(plan.grad_poisoned(1, 4));
-        assert!(plan.grad_poisoned(1, 4), "persistent within its iteration");
-        assert!(!plan.grad_poisoned(1, 5));
-        assert!(!plan.grad_poisoned(0, 4));
-    }
-
-    #[test]
-    fn grad_poison_rate_samples_into_random_plans() {
-        let rates = FaultRates {
-            grad_poison: 1.0,
-            ..FaultRates::default()
-        };
-        let plan = FaultPlan::random(7, 2, 3, 4, &rates);
-        let poisons = plan
-            .faults()
-            .iter()
-            .filter(|f| matches!(f, Fault::GradPoison { .. }))
-            .count();
-        assert_eq!(poisons, 6, "rate 1.0 poisons every node every iteration");
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //! pure byte transforms, [`write_frame`]/[`read_frame`] are the stream
 //! I/O. The transport's [`crate::transport::Frame`] seals its own
 //! encoded header+payload; the serving protocol seals each message
-//! body. Corruption surfaces as [`FrameIntegrity::BadCrc`], the signal
+//! body; sealed files (checkpoints, the tuning cache) reach disk through
+//! the one atomic writer, [`write_atomic`]. Corruption surfaces as [`FrameIntegrity::BadCrc`], the signal
 //! both protocols treat as retryable-or-fatal per their own policy.
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
 
 use crate::checkpoint::crc32;
 
@@ -114,6 +116,43 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> std::io::Result<Vec<u8>>
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Replaces `path` with the concatenation of `parts`, atomically: the
+/// bytes land in the sibling [`tmp_path`], are synced to disk, and are
+/// renamed over `path`, so a crash mid-write leaves the previous file
+/// intact (at worst a stale `*.tmp` that readers never look at).
+///
+/// # Errors
+///
+/// Any I/O error from creating, writing, syncing, or renaming.
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    let tmp = tmp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    // The rename survives a crash only once its directory entry does.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// The sibling temporary path [`write_atomic`] writes through:
+/// `path` with `.tmp` appended to its file name.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_else(|| "sealed".into());
+    name.push(".tmp");
+    path.with_file_name(name)
 }
 
 #[cfg(test)]

@@ -19,10 +19,8 @@
 //! * [`parallel`] — intra-node data parallelism with synchronized or
 //!   *lossy* gradient accumulation (Figure 20).
 //! * [`accel`] — the simulated-coprocessor chunk scheduler (Figure 17).
-//! * [`cluster`] — the discrete-event cluster simulation with overlapped
-//!   ring all-reduce (Figures 18–19), including the fault-aware
-//!   multi-iteration mode with retries, straggler detection, and
-//!   degraded (lossy) all-reduce.
+//! * [`cluster`] — the discrete-event model of fault-free cluster
+//!   scaling with overlapped ring all-reduce (Figures 18–19).
 //! * [`frame`] — the shared wire-framing conventions (CRC32-sealed
 //!   payloads behind a length prefix) used by both the training
 //!   transport and the `latte-serve` network front-end.

@@ -1,6 +1,6 @@
 //! Evaluation helpers (classification over a trained executor) and the
-//! fault-tolerance counter registry shared by the cluster simulation and
-//! the training supervisor.
+//! fault-tolerance counter registry shared by the ring transport and the
+//! training supervisor.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,13 +10,11 @@ use crate::exec::Executor;
 
 /// Monotonic counters recording fault-tolerance events. Thread-safe;
 /// share one instance (e.g. behind an `Arc`) between the supervisor,
-/// the cluster simulation, and whoever reports the run.
+/// the transport, and whoever reports the run.
 #[derive(Debug, Default)]
 pub struct FaultMetrics {
     /// Transfer retries after a timeout, drop, or corruption.
     pub retries: AtomicU64,
-    /// Transfers that timed out or were dropped by fault injection.
-    pub transfers_dropped: AtomicU64,
     /// Transfers whose payload failed its checksum (injected corruption).
     pub transfers_corrupted: AtomicU64,
     /// Nodes declared dead (crash or retry budget exhausted).
@@ -74,7 +72,6 @@ pub struct FaultMetrics {
 #[allow(missing_docs)]
 pub struct FaultMetricsSnapshot {
     pub retries: u64,
-    pub transfers_dropped: u64,
     pub transfers_corrupted: u64,
     pub nodes_failed: u64,
     pub stragglers_detected: u64,
@@ -118,7 +115,6 @@ impl FaultMetrics {
     pub fn snapshot(&self) -> FaultMetricsSnapshot {
         FaultMetricsSnapshot {
             retries: self.retries.load(Ordering::Relaxed),
-            transfers_dropped: self.transfers_dropped.load(Ordering::Relaxed),
             transfers_corrupted: self.transfers_corrupted.load(Ordering::Relaxed),
             nodes_failed: self.nodes_failed.load(Ordering::Relaxed),
             stragglers_detected: self.stragglers_detected.load(Ordering::Relaxed),
@@ -148,14 +144,13 @@ impl fmt::Display for FaultMetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "retries={} dropped={} corrupted={} nodes_failed={} stragglers={} \
+            "retries={} corrupted={} nodes_failed={} stragglers={} \
              degraded_iters={} checkpoints={} restores={} io_errors={} \
              sentinel_trips={} grad_clips={} grad_nonfinite={} loss_anomalies={} \
              quarantined={} rollbacks={} lr_reductions={} grads_rejected={} \
              send_retries={} timeouts={} reconnects={} peers_evicted={} \
              lossy_steps={} bytes_reduced={}",
             self.retries,
-            self.transfers_dropped,
             self.transfers_corrupted,
             self.nodes_failed,
             self.stragglers_detected,
@@ -258,7 +253,7 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.nodes_failed, 1);
-        assert_eq!(snap.transfers_dropped, 0);
+        assert_eq!(snap.transfers_corrupted, 0);
         assert_eq!(snap.sentinel_trips, 1);
         assert_eq!(snap.batches_quarantined, 1);
         assert_eq!(snap.gradients_rejected, 0);

@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::SyncMode;
 use crate::error::RuntimeError;
 use crate::metrics::FaultMetrics;
 use crate::transport::{Delivery, Frame, FrameKind, Key, Transport, TransportError};
@@ -126,6 +125,18 @@ impl CommPolicy {
         let jittered = capped * (1.0 + self.jitter * rng.gen_range(0.0f64..1.0));
         Duration::from_secs_f64(jittered / 1e3)
     }
+}
+
+/// All-reduce synchronization mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncMode {
+    /// Every live node contributes to every gradient sum; the slowest
+    /// node gates the iteration.
+    Synchronized,
+    /// The paper's lossy unsynchronized mode over a shrunken participant
+    /// set: nodes proceed without a barrier, so stragglers and dead
+    /// nodes no longer gate progress (at the cost of stale gradients).
+    LossyDegraded,
 }
 
 /// Cuts `len` elements into `k` contiguous chunks, the first `len % k`
@@ -284,6 +295,12 @@ impl RingComm {
     /// the live ranks bit for bit; lossy mode averages whatever arrived
     /// by the deadline. A solo ring returns `grad` untouched.
     ///
+    /// A bucket holding any non-finite value is withdrawn whole (counted
+    /// in [`FaultMetrics::gradients_rejected`]): it enters the ring as
+    /// zeros with this rank's contributor bit clear, so every rank —
+    /// this one included — averages over the clean contributions only,
+    /// and an all-poisoned ring yields a zero (skipped) update.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::Transport`] when this rank was evicted by the
@@ -302,6 +319,15 @@ impl RingComm {
         let mut evicted = Vec::new();
         let mut stash: HashMap<Key, Frame> = HashMap::new();
         self.flagged.iter_mut().for_each(|f| *f = false);
+        // Exhaustive scan: a single hidden NaN folded into the ring
+        // would poison every rank it reaches within one step.
+        let own = if grad.iter().all(|v| v.is_finite()) {
+            own_bit
+        } else {
+            FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
+            grad.fill(0.0);
+            0
+        };
 
         'attempt: loop {
             stash.clear();
@@ -336,7 +362,7 @@ impl RingComm {
             let left = live[(me + k - 1) % k];
             let spans = chunk_spans(grad.len(), k);
             let mut scratch = grad.to_vec();
-            let mut contrib = vec![own_bit; k];
+            let mut contrib = vec![own; k];
             let mut bytes = 0u64;
 
             // Reduce-scatter: k-1 steps; chunk c starts at position c
@@ -362,16 +388,17 @@ impl RingComm {
                     RecvOutcome::Frame(fr) => {
                         let span = spans[recv_c].clone();
                         if fr.payload.iter().any(|v| !v.is_finite()) {
-                            // A poisoned running sum: reject the whole
-                            // contribution chain, keep our own partial
-                            // (mirrors `cluster::merge_finite_gradients`).
+                            // A poisoned running sum from a peer that
+                            // skipped its own scan: reject the whole
+                            // upstream chain and keep our own partial,
+                            // so the poison stops at this hop.
                             FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
                         } else if fr.payload.len() == span.len() {
                             let dst = &mut scratch[span];
                             for (d, &v) in dst.iter_mut().zip(&fr.payload) {
                                 *d += v;
                             }
-                            contrib[recv_c] = fr.contributors | own_bit;
+                            contrib[recv_c] = fr.contributors | own;
                             bytes += (fr.payload.len() * 4) as u64;
                         }
                     }
@@ -513,10 +540,16 @@ impl RingComm {
         // one patient window — a peer that stops signalling (finished,
         // or dead) stops buying patience.
         let mut stalled = false;
-        // Each Busy heard buys one fresh timeout window, bounded so a
+        // Each Busy heard forgives the silence so far, bounded so a
         // livelocked ring (everyone "busy", nobody progressing) still
         // converges to eviction instead of waiting forever.
         let mut busy_credit = (self.policy.max_retries + 2) * self.tp.world() as u32;
+        // The deadline belongs to the attempt: a Busy forgives silence
+        // but never re-arms it, so the rank owed a lost frame asks for
+        // the resend within one window however much Busy traffic the
+        // stall around it generates.
+        let mut deadline: Option<Instant> = None;
+        let me = self.tp.rank();
         let t_start = Instant::now();
         loop {
             if self.tp.failed_mask() & mask0 != 0 {
@@ -525,35 +558,38 @@ impl RingComm {
                 return RecvOutcome::Restart;
             }
             let lossy = self.mode == SyncMode::LossyDegraded;
-            let per_op = Duration::from_millis(if lossy {
-                self.policy.lossy_timeout_ms
-            } else {
-                self.policy.op_timeout_ms
+            let until = *deadline.get_or_insert_with(|| {
+                Instant::now()
+                    + Duration::from_millis(if lossy {
+                        self.policy.lossy_timeout_ms
+                    } else {
+                        self.policy.op_timeout_ms
+                    })
             });
-            let out = match self.tp.recv(from, Instant::now() + per_op, mask0) {
+            let out = match self.tp.recv(from, until, mask0) {
                 Ok(Delivery::Frame(f)) if f.kind == FrameKind::Busy => {
-                    if busy_credit > 0 {
-                        busy_credit -= 1;
-                        // The upstream is provably alive, just blocked:
-                        // silence so far was not its fault. Resetting the
-                        // counters (not merely the window) keeps a timing
-                        // race between its Busy cadence and our timeout
-                        // cadence from accumulating attempts anyway.
-                        silent = 0;
-                        self.misses[from] = 0;
-                        stalled = true;
-                        // Pass the liveness signal downstream: our
-                        // neighbor is now also waiting on a stalled
-                        // (but live) chain.
-                        self.tp.send_busy(right, key);
+                    let origin = usize::from(f.chunk);
+                    // Our own signal back from a full lap says nothing
+                    // new, and relaying it again would circulate it
+                    // forever. Past the credit an upstream "busy" for
+                    // this many windows is indistinguishable from
+                    // livelock: only expired deadlines count from here.
+                    if origin == me || busy_credit == 0 {
                         continue;
                     }
-                    // An upstream "busy" for this many windows is
-                    // indistinguishable from livelock: resume counting
-                    // silence against it.
-                    self.handle_silence(
-                        from, right, key, lossy, false, &mut silent, &metrics, evicted,
-                    )
+                    busy_credit -= 1;
+                    // The upstream is provably alive, just blocked:
+                    // silence so far was not its fault. Resetting the
+                    // counters (not merely the window) keeps a timing
+                    // race between its Busy cadence and our timeout
+                    // cadence from accumulating attempts anyway.
+                    silent = 0;
+                    self.misses[from] = 0;
+                    stalled = true;
+                    // Pass the liveness signal downstream: our neighbor
+                    // is now also waiting on a stalled (but live) chain.
+                    self.tp.send_busy(right, key, origin);
+                    continue;
                 }
                 Ok(Delivery::Frame(f)) => {
                     if f.kind != FrameKind::Data {
@@ -617,6 +653,8 @@ impl RingComm {
             if let Some(out) = out {
                 return out;
             }
+            // The attempt is spent: the next one gets a fresh window.
+            deadline = None;
         }
     }
 
@@ -648,7 +686,7 @@ impl RingComm {
                 // Repair in progress upstream: it ends in data, an
                 // eviction broadcast, or our own DeathNotice — all of
                 // which unblock us. Signal our own waiter and hold.
-                self.tp.send_busy(right, key);
+                self.tp.send_busy(right, key, self.tp.rank());
                 return None;
             }
             self.misses[from] += 1;
@@ -658,7 +696,7 @@ impl RingComm {
             }
             // Even on the deadline-driven path, our waiter must learn
             // we're alive before it burns its own (short) miss budget.
-            self.tp.send_busy(right, key);
+            self.tp.send_busy(right, key, self.tp.rank());
             return Some(RecvOutcome::Missed);
         }
         *attempt += 1;
@@ -669,7 +707,7 @@ impl RingComm {
         FaultMetrics::bump(&metrics.retries);
         let _ = self.tp.request_resend(from, key);
         // Our own waiter must not mistake this stall for our death.
-        self.tp.send_busy(right, key);
+        self.tp.send_busy(right, key, self.tp.rank());
         let pause = self.policy.backoff(*attempt, &mut self.rng);
         std::thread::sleep(pause);
         None

@@ -89,7 +89,9 @@ pub enum FrameKind {
     /// this to its downstream neighbor each silent deadline, so patient
     /// peers don't evict a live rank whose own upstream stalled. The
     /// true failure detector — the rank adjacent to a dead node — hears
-    /// no Busy and evicts at its budget, ending the chain.
+    /// no Busy and evicts at its budget, ending the chain. `chunk` names
+    /// the rank whose stall started the signal, so a relay stops once it
+    /// has gone all the way round.
     Busy,
 }
 
@@ -827,8 +829,11 @@ pub trait Transport: Send {
     ) -> Result<Delivery, TransportError>;
     /// Tells `to` "I'm alive but blocked waiting upstream" (best
     /// effort, fire-and-forget): lets a patient downstream neighbor
-    /// extend its timeout instead of counting silence as our death.
-    fn send_busy(&self, to: usize, key: Key);
+    /// forgive our silence instead of counting it as our death.
+    /// `origin` is the rank whose stall started the signal (ourselves,
+    /// or the upstream whose Busy we relay); it rides in the frame's
+    /// `chunk` so a relayed signal stops when it comes back around.
+    fn send_busy(&self, to: usize, key: Key, origin: usize);
     /// Blocks until a rank in `mask` is declared failed or `deadline`
     /// passes; returns whether one failed. Consumes no deliveries.
     fn wait_failure(&self, mask: u32, deadline: Instant) -> bool;
@@ -932,8 +937,13 @@ impl<W: Wire> Transport for Endpoint<W> {
         self.router.recv(from, deadline, fail_watch)
     }
 
-    fn send_busy(&self, to: usize, key: Key) {
-        let mut f = Frame::control(FrameKind::Busy, self.router.rank() as u16, key, 0);
+    fn send_busy(&self, to: usize, key: Key, origin: usize) {
+        let mut f = Frame::control(
+            FrameKind::Busy,
+            self.router.rank() as u16,
+            key,
+            origin as u16,
+        );
         f.alive = self.router.alive_mask();
         f.failed = self.router.failed_mask();
         let _ = self.wire.send(to, f.encode());

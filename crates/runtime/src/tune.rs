@@ -44,7 +44,6 @@
 //! trailing CRC32 seal, written atomically (temp file + rename).
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,6 +55,7 @@ use latte_tensor::gemm::{cpu_features, Gemm, Transpose};
 use crate::checkpoint::crc32;
 use crate::error::RuntimeError;
 use crate::exec::{CompiledProgram, ExecConfig, Executor};
+use crate::frame::{seal, write_atomic};
 use crate::pool::WorkerPool;
 use crate::registry::KernelRegistry;
 
@@ -560,18 +560,13 @@ impl Tuner {
         Ok(CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), cfg)?)
     }
 
-    /// Writes the cache atomically: serialize, CRC-seal, write to a temp
-    /// file, sync, rename over the final path.
+    /// Writes the cache atomically: serialize, CRC-seal, then
+    /// [`write_atomic`] (temp file, sync, rename over the final path).
     fn save(&self) -> Result<(), TuneError> {
-        let bytes = render_cache(&self.entries);
-        let tmp = self.path.with_extension("tmp");
-        let io_err = |source| TuneError::Io { path: self.path.clone(), source };
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(&bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        drop(f);
-        std::fs::rename(&tmp, &self.path).map_err(io_err)?;
-        Ok(())
+        write_atomic(&self.path, &[&render_cache(&self.entries)]).map_err(|source| TuneError::Io {
+            path: self.path.clone(),
+            source,
+        })
     }
 }
 
@@ -650,9 +645,7 @@ fn render_cache(entries: &BTreeMap<String, CacheEntry>) -> Vec<u8> {
         }
         out.extend_from_slice(&entry.score_ms.to_le_bytes());
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    seal(out)
 }
 
 fn parse_cache(bytes: &[u8]) -> Result<BTreeMap<String, CacheEntry>, TuneError> {

@@ -1,14 +1,17 @@
 //! Integration tests for the real communicator: ring all-reduce over the
 //! in-process channel transport, fault injection through
-//! `FaultyTransport`, ring healing, and the CRC negative control.
+//! `FaultyTransport`, ring healing, the CRC negative control, and the
+//! containment of non-finite gradients.
 
 use std::sync::Arc;
 
 use latte_runtime::error::RuntimeError;
 use latte_runtime::fault::{Fault, FaultPlan, FaultRates, FaultyTransport};
 use latte_runtime::metrics::FaultMetricsSnapshot;
-use latte_runtime::ring::{reference_allreduce, BucketReport, CommPolicy, RingComm};
-use latte_runtime::transport::{channel_group, channel_group_with, Endpoint, Transport, Wire};
+use latte_runtime::ring::{reference_allreduce, BucketReport, CommPolicy, RingComm, SyncMode};
+use latte_runtime::transport::{
+    channel_group, channel_group_with, Endpoint, Frame, FrameKind, Transport, TransportError, Wire,
+};
 
 /// A deadline policy tuned for loopback tests: fast enough that eviction
 /// paths finish in tens of milliseconds, generous enough that healthy
@@ -53,10 +56,16 @@ impl RankRun {
 
 /// Runs `steps` all-reduces (step s, bucket 0) on every endpoint in its
 /// own thread, each step starting from that rank's pristine gradient.
-fn run_ring<W: Wire>(
+fn run_ring<W: Wire>(endpoints: Vec<Endpoint<W>>, policy: CommPolicy, steps: u32) -> Vec<RankRun> {
+    run_ring_with(endpoints, policy, steps, grad_for)
+}
+
+/// [`run_ring`] with rank `r`'s pristine gradient taken from `grad(r)`.
+fn run_ring_with<W: Wire>(
     endpoints: Vec<Endpoint<W>>,
     policy: CommPolicy,
     steps: u32,
+    grad: fn(usize) -> Vec<f32>,
 ) -> Vec<RankRun> {
     let handles: Vec<_> = endpoints
         .into_iter()
@@ -66,7 +75,7 @@ fn run_ring<W: Wire>(
             std::thread::spawn(move || {
                 let metrics = Arc::clone(ep.metrics());
                 let mut ring = RingComm::new(Box::new(ep), policy).expect("valid policy");
-                let grad = grad_for(rank);
+                let grad = grad(rank);
                 let mut merged = grad.clone();
                 let mut reports = Vec::new();
                 for s in 0..steps {
@@ -218,7 +227,7 @@ fn node_crash_heals_the_ring_to_lossy() {
         assert_eq!(rep.live, 3);
         assert_eq!(
             rep.mode,
-            latte_runtime::cluster::SyncMode::LossyDegraded,
+            SyncMode::LossyDegraded,
             "a shrunken ring must degrade"
         );
     }
@@ -241,7 +250,7 @@ fn two_node_ring_heals_to_solo() {
     assert_eq!(survivor.merged, grad_for(0));
     let rep = survivor.last_ok();
     assert_eq!(rep.live, 1);
-    assert_eq!(rep.mode, latte_runtime::cluster::SyncMode::LossyDegraded);
+    assert_eq!(rep.mode, SyncMode::LossyDegraded);
     assert!(rep.evicted.contains(&1));
     assert_eq!(survivor.metrics.peers_evicted, 1);
 }
@@ -319,6 +328,206 @@ fn straggler_is_flagged_by_the_ewma_detector() {
     assert_eq!(runs.iter().map(|r| r.metrics.peers_evicted).sum::<u64>(), 0);
 }
 
+#[test]
+fn nonfinite_buckets_are_withdrawn_from_the_mean() {
+    // Ranks 1 and 2 hold a NaN and an Inf: each withdraws its whole
+    // bucket before the ring starts, so every rank — the poisoned ones
+    // included — gets the exact mean of the two clean ranks, and the
+    // ring stays synchronized (poison is not a reason to evict).
+    fn grads(rank: usize) -> Vec<f32> {
+        match rank {
+            0 => vec![1.0, 2.0, 3.0],
+            1 => vec![f32::NAN, 2.0, 3.0],
+            2 => vec![3.0, 4.0, f32::INFINITY],
+            _ => vec![5.0, 6.0, 7.0],
+        }
+    }
+    let runs = run_ring_with(channel_group(4).unwrap(), fast_policy(), 1, grads);
+    for run in &runs {
+        assert_eq!(run.merged, vec![3.0, 4.0, 5.0], "rank {}", run.rank);
+        let rep = run.last_ok();
+        assert_eq!(rep.mode, SyncMode::Synchronized);
+        assert_eq!(rep.min_contributors, 2, "only the clean ranks count");
+        assert!(rep.evicted.is_empty());
+    }
+    let rejected: u64 = runs.iter().map(|r| r.metrics.gradients_rejected).sum();
+    assert_eq!(rejected, 2, "one rejection per poisoned bucket");
+
+    // Every bucket poisoned: the only safe aggregate is a zero
+    // (skipped) update.
+    fn all_poisoned(rank: usize) -> Vec<f32> {
+        vec![
+            if rank == 0 {
+                f32::NAN
+            } else {
+                f32::NEG_INFINITY
+            };
+            3
+        ]
+    }
+    let runs = run_ring_with(channel_group(2).unwrap(), fast_policy(), 1, all_poisoned);
+    for run in &runs {
+        assert_eq!(run.merged, vec![0.0; 3], "rank {}", run.rank);
+    }
+}
+
+/// Rewrites every data frame it carries into an all-NaN payload when
+/// `poison` is set (a correctly sealed frame, so the CRC passes): a peer
+/// that skips its own scan, as seen by its receivers.
+struct PoisonWire<W: Wire> {
+    inner: W,
+    poison: bool,
+}
+
+impl<W: Wire> Wire for PoisonWire<W> {
+    fn send(&self, to: usize, bytes: Vec<u8>) -> Result<(), TransportError> {
+        match Frame::decode(&bytes) {
+            Ok(mut f) if self.poison && f.kind == FrameKind::Data => {
+                f.payload.iter_mut().for_each(|v| *v = f32::NAN);
+                self.inner.send(to, f.encode())
+            }
+            _ => self.inner.send(to, bytes),
+        }
+    }
+
+    fn close(&self) {
+        self.inner.close();
+    }
+}
+
+#[test]
+fn nonfinite_frames_are_rejected_on_receipt() {
+    // Rank 1's data frames all arrive as NaN: its receivers must refuse
+    // them in both the reduce-scatter and the all-gather, so no rank
+    // ends the bucket with a non-finite value.
+    let endpoints = channel_group_with(3, |rank, wire| PoisonWire {
+        inner: wire,
+        poison: rank == 1,
+    })
+    .unwrap();
+    let runs = run_ring(endpoints, fast_policy(), 1);
+    for run in &runs {
+        assert!(
+            run.merged.iter().all(|v| v.is_finite()),
+            "rank {} merged a poisoned frame: {:?}",
+            run.rank,
+            run.merged
+        );
+        assert!(run.last_ok().evicted.is_empty());
+    }
+    let rejected: u64 = runs.iter().map(|r| r.metrics.gradients_rejected).sum();
+    assert!(
+        rejected >= 1,
+        "the receivers must count the rejected frames"
+    );
+}
+
+#[test]
+fn ring_survives_a_poisoned_replica_and_keeps_converging() {
+    // Three real executors train one MLP data-parallel over a 3-rank
+    // channel ring. At one step rank 1's whole gradient bucket is NaN:
+    // every rank's merged gradient must stay finite (so all three keep
+    // identical, clean weights), the rejection must be counted, and the
+    // replicas must keep converging.
+    use latte_core::{compile, OptLevel};
+    use latte_nn::models::{mlp, ModelConfig};
+    use latte_runtime::Executor;
+
+    const RANKS: usize = 3;
+    const STEPS: usize = 30;
+    const POISONED_STEP: usize = 5;
+    let cfg = ModelConfig {
+        batch: 4,
+        input_size: 6,
+        channel_div: 1,
+        classes: 3,
+        with_loss: true,
+        seed: 33,
+    };
+    let shard = |rank: usize, step: usize| -> (Vec<f32>, Vec<f32>) {
+        let mut data = Vec::with_capacity(4 * 6);
+        let mut labels = Vec::with_capacity(4);
+        for item in 0..4 {
+            let class = (rank + step + item) % 3;
+            for j in 0..6 {
+                data.push(if j % 3 == class { 1.0 } else { 0.1 });
+            }
+            labels.push(class as f32);
+        }
+        (data, labels)
+    };
+    let endpoints = channel_group(RANKS).unwrap();
+    let handles: Vec<_> = endpoints
+        .into_iter()
+        .enumerate()
+        .map(|(rank, ep)| {
+            let net = mlp(&cfg, &[8]).net;
+            std::thread::spawn(move || {
+                let metrics = Arc::clone(ep.metrics());
+                let mut ring = RingComm::new(Box::new(ep), fast_policy()).unwrap();
+                let mut exec = Executor::new(compile(&net, &OptLevel::full()).unwrap()).unwrap();
+                let params: Vec<(String, String)> = exec
+                    .params()
+                    .iter()
+                    .map(|p| (p.value.clone(), p.grad.clone()))
+                    .collect();
+                let mut losses = Vec::with_capacity(STEPS);
+                for step in 0..STEPS {
+                    let (data, labels) = shard(rank, step);
+                    exec.set_input("data", &data).unwrap();
+                    exec.set_input("label", &labels).unwrap();
+                    exec.forward();
+                    losses.push(exec.loss());
+                    exec.backward();
+                    let mut bucket: Vec<f32> = Vec::new();
+                    for (_, g) in &params {
+                        bucket.extend(exec.read_buffer(g).unwrap());
+                    }
+                    if rank == 1 && step == POISONED_STEP {
+                        bucket.iter_mut().for_each(|v| *v = f32::NAN);
+                    }
+                    ring.allreduce(step as u32, 0, &mut bucket).unwrap();
+                    assert!(
+                        bucket.iter().all(|v| v.is_finite()),
+                        "rank {rank} step {step}: merged gradient must stay finite"
+                    );
+                    let mut at = 0;
+                    for (v, _) in &params {
+                        let mut w = exec.read_buffer(v).unwrap();
+                        for (w, g) in w.iter_mut().zip(&bucket[at..]) {
+                            *w -= 0.1 * g;
+                        }
+                        at += w.len();
+                        exec.write_buffer(v, &w).unwrap();
+                    }
+                }
+                let weights: Vec<Vec<f32>> = params
+                    .iter()
+                    .map(|(v, _)| exec.read_buffer(v).unwrap())
+                    .collect();
+                (losses, weights, metrics.snapshot())
+            })
+        })
+        .collect();
+    let runs: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank panicked"))
+        .collect();
+
+    let mean_loss = |step: usize| runs.iter().map(|r| r.0[step]).sum::<f32>() / RANKS as f32;
+    let (first, last) = (mean_loss(0), mean_loss(STEPS - 1));
+    assert!(last.is_finite());
+    assert!(
+        last < first * 0.5,
+        "replicas must keep converging: {first} -> {last}"
+    );
+    for (rank, run) in runs.iter().enumerate() {
+        assert_eq!(run.1, runs[0].1, "rank {rank}'s weights diverged");
+    }
+    let rejected: u64 = runs.iter().map(|r| r.2.gradients_rejected).sum();
+    assert!(rejected >= 1, "the poisoned bucket must be counted");
+}
+
 /// Randomized fault sweep, gated behind `LATTE_FAULT_SWEEP=1` (nightly
 /// CI): random plans must never panic, deadlock, or leave the metrics
 /// inconsistent with the outcome.
@@ -350,7 +559,7 @@ fn randomized_transport_fault_sweep() {
                 if !rep.evicted.is_empty() {
                     assert_eq!(
                         rep.mode,
-                        latte_runtime::cluster::SyncMode::LossyDegraded,
+                        SyncMode::LossyDegraded,
                         "seed {seed}: eviction must degrade the ring"
                     );
                 }

@@ -63,5 +63,7 @@ for ex in examples/*.rs; do
   echo "   -> $name"
   cargo run --release --quiet --example "$name" >/dev/null
 done
+echo "   -> fault_tolerance --seed 7 (random fault plan on the real ring)"
+cargo run --release --quiet --example fault_tolerance -- --seed 7 >/dev/null
 
 echo "All checks passed."

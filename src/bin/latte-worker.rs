@@ -30,9 +30,8 @@ use std::time::Duration;
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{mlp, ModelConfig};
 use latte::runtime::checkpoint::crc32;
-use latte::runtime::cluster::SyncMode;
 use latte::runtime::dist::{net_fingerprint, DistTrainer};
-use latte::runtime::ring::CommPolicy;
+use latte::runtime::ring::{CommPolicy, SyncMode};
 use latte::runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
 use latte::runtime::transport::{tcp_rendezvous, TcpConfig};
 use latte::runtime::Executor;

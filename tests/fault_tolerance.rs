@@ -1,96 +1,198 @@
-//! End-to-end fault-tolerance acceptance tests (tier-1): a simulated
-//! 4-node cluster surviving a node crash plus a straggler, and a
-//! single-node training run surviving a process death mid-epoch by
-//! resuming from the supervisor's checkpoint.
+//! End-to-end fault-tolerance acceptance tests (tier-1): a 4-rank ring
+//! all-reduce over real frames surviving a dropped transfer, a straggler
+//! and a node crash, and a single-node training run surviving a process
+//! death mid-epoch by resuming from the supervisor's checkpoint.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::Duration;
 
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{mlp, ModelConfig};
-use latte::runtime::cluster::{
-    simulate_run, ClusterSpec, FaultPolicy, LayerProfile, NetworkModel, SyncMode,
-};
 use latte::runtime::data::MemoryDataSource;
-use latte::runtime::fault::{Fault, FaultPlan};
-use latte::runtime::metrics::FaultMetrics;
+use latte::runtime::fault::{Fault, FaultPlan, FaultyTransport};
+use latte::runtime::metrics::{FaultMetrics, FaultMetricsSnapshot};
+use latte::runtime::ring::{reference_allreduce, BucketReport, CommPolicy, RingComm, SyncMode};
 use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
 use latte::runtime::supervisor::{supervise, SupervisorConfig};
+use latte::runtime::transport::{channel_group_with, Transport};
 use latte::runtime::Executor;
 
-fn layers() -> Vec<LayerProfile> {
-    (0..6)
-        .map(|i| LayerProfile {
-            name: format!("layer{i}"),
-            fwd_ms_per_item: 0.2 / (i + 1) as f64,
-            bwd_ms_per_item: 0.4 / (i + 1) as f64,
-            fixed_ms: 0.3,
-            grad_bytes: [0.5e6, 2e6, 9e6, 9e6, 200e6, 16e6][i],
-        })
+const RANKS: usize = 4;
+const STEPS: u32 = 12;
+const CRASH_STEP: u32 = 8;
+
+/// Rank `rank`'s gradient bucket at `step`: uneven across ranks and
+/// steps, 13 floats so every ring size gets ragged chunks.
+fn grad_at(rank: usize, step: u32) -> Vec<f32> {
+    (0..13)
+        .map(|i| (i as f32 + 1.0) * (rank as f32 + 1.0) + 0.25 * step as f32 - 0.5 * rank as f32)
         .collect()
 }
 
-/// A 4-node cluster hit by a mid-run node crash, a straggler phase, and
-/// a dropped gradient transfer recovers: the transfer is retried, the
-/// straggler is detected against the rolling estimate, and after the
-/// crash the all-reduce degrades to the lossy unsynchronized mode over
-/// the three survivors — with every event visible in the fault counters.
+/// What one rank saw, per completed step (until its first error): the
+/// merged bucket, the report, and its transport counters afterwards.
+struct RankLog {
+    merged: Vec<Vec<f32>>,
+    reports: Vec<BucketReport>,
+    snaps: Vec<FaultMetricsSnapshot>,
+}
+
+/// A 4-rank in-process ring hit by a dropped gradient transfer, a
+/// straggler phase and a mid-run node crash recovers on real frames:
+/// the drop is timed out and re-sent without leaving synchronized mode,
+/// the straggler is flagged by the EWMA detector without being evicted,
+/// and the crash evicts exactly its rank, after which the survivors run
+/// every step in the lossy degraded mode — with every event visible in
+/// the fault counters.
 #[test]
 fn cluster_survives_crash_straggler_and_dropped_transfer() {
-    let spec = ClusterSpec {
-        nodes: 4,
-        network: NetworkModel::infiniband_like(),
-    };
     let plan = FaultPlan::new(vec![
-        Fault::TransferDrop { node: 0, iter: 2, layer: 4 },
-        Fault::Straggler { node: 1, from_iter: 4, to_iter: 7, factor: 4.0 },
-        Fault::NodeCrash { node: 2, iter: 8 },
+        Fault::TransferDrop {
+            node: 0,
+            iter: 2,
+            layer: 0,
+        },
+        Fault::Straggler {
+            node: 1,
+            from_iter: 4,
+            to_iter: 7,
+            factor: 4.0,
+        },
+        Fault::NodeCrash {
+            node: 2,
+            iter: CRASH_STEP as usize,
+        },
     ]);
-    let metrics = FaultMetrics::new();
-    let run = simulate_run(
-        &spec,
-        &layers(),
-        32,
-        12,
-        &plan,
-        &FaultPolicy::default(),
-        &metrics,
-    )
+    let policy = CommPolicy {
+        op_timeout_ms: 400,
+        max_retries: 2,
+        backoff_base_ms: 1.0,
+        backoff_cap_ms: 5.0,
+        jitter: 0.1,
+        lossy_timeout_ms: 200,
+        ..CommPolicy::default()
+    };
+    let endpoints = channel_group_with(RANKS, |rank, wire| {
+        FaultyTransport::new(rank, plan.clone(), wire).with_straggle_unit(Duration::from_millis(20))
+    })
     .unwrap();
+    let logs: Vec<RankLog> = endpoints
+        .into_iter()
+        .enumerate()
+        .map(|(rank, ep)| {
+            let policy = policy.clone();
+            std::thread::spawn(move || {
+                let metrics: Arc<FaultMetrics> = Arc::clone(ep.metrics());
+                let mut ring = RingComm::new(Box::new(ep), policy).unwrap();
+                let mut log = RankLog {
+                    merged: Vec::new(),
+                    reports: Vec::new(),
+                    snaps: Vec::new(),
+                };
+                for step in 0..STEPS {
+                    let mut g = grad_at(rank, step);
+                    match ring.allreduce(step, 0, &mut g) {
+                        Ok(rep) => {
+                            log.merged.push(g);
+                            log.reports.push(rep);
+                            log.snaps.push(metrics.snapshot());
+                        }
+                        Err(_) => break,
+                    }
+                }
+                log
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|h| h.join().expect("rank thread panicked"))
+        .collect();
+    let survivors = [0usize, 1, 3];
 
-    assert_eq!(run.iterations.len(), 12);
+    for &rank in &survivors {
+        let log = &logs[rank];
+        assert_eq!(
+            log.reports.len(),
+            STEPS as usize,
+            "survivor {rank} stopped early"
+        );
 
-    // The dropped transfer costs a visible retry penalty but stays
-    // synchronized.
-    assert!(run.iterations[2].retry_penalty_ms > 0.0);
-    assert_eq!(run.iterations[2].mode, SyncMode::Synchronized);
+        // Before the crash every step is the synchronized 4-rank mean,
+        // bit for bit — the drop and the straggler cost time, not bits.
+        for step in 0..CRASH_STEP {
+            let parts: Vec<Vec<f32>> = (0..RANKS).map(|r| grad_at(r, step)).collect();
+            assert_eq!(
+                log.merged[step as usize],
+                reference_allreduce(&parts),
+                "rank {rank} step {step} diverged from the serial fold"
+            );
+            let rep = &log.reports[step as usize];
+            assert_eq!(rep.mode, SyncMode::Synchronized, "rank {rank} step {step}");
+            assert_eq!(rep.live, RANKS);
+            assert!(
+                rep.evicted.is_empty(),
+                "rank {rank} evicted {:?} at step {step}",
+                rep.evicted
+            );
+        }
 
-    // The straggler is detected while it is slow, and only then.
-    assert_eq!(run.iterations[5].stragglers, vec![1]);
-    assert!(run.iterations[3].stragglers.is_empty());
-    assert!(run.iterations[7].stragglers.is_empty());
+        // The crash shrinks the ring to the three survivors, and every
+        // later step runs lossy over them.
+        for step in CRASH_STEP..STEPS {
+            let rep = &log.reports[step as usize];
+            assert_eq!(rep.mode, SyncMode::LossyDegraded, "rank {rank} step {step}");
+            assert_eq!(rep.live, 3, "rank {rank} step {step}");
+            assert!(log.merged[step as usize].iter().all(|v| v.is_finite()));
+        }
+        let evicted: BTreeSet<usize> = log.reports.iter().flat_map(|r| r.evicted.clone()).collect();
+        assert!(
+            evicted.is_subset(&BTreeSet::from([2])),
+            "rank {rank} evicted {evicted:?}"
+        );
 
-    // The crash removes node 2 from the ring and degrades the run to
-    // the lossy unsynchronized mode over the 3 survivors.
-    assert_eq!(run.iterations[7].live_nodes, 4);
-    assert_eq!(run.iterations[8].newly_dead, vec![2]);
-    assert_eq!(run.iterations[8].mode, SyncMode::LossyDegraded);
-    assert_eq!(run.iterations[8].live_nodes, 3);
-    assert_eq!(run.live_nodes, 3);
-    assert_eq!(run.final_mode, SyncMode::LossyDegraded);
+        // Each survivor learns of exactly one failure — rank 2 — whether
+        // it evicted it itself or adopted a peer's eviction broadcast.
+        let m = log.snaps.last().expect("survivor finished every step");
+        assert_eq!(m.peers_evicted, 1, "rank {rank}: {m}");
+        assert_eq!(m.nodes_failed, 1, "rank {rank}: {m}");
+        let text = m.to_string();
+        assert!(
+            text.contains("nodes_failed=1") && text.contains("peers_evicted=1"),
+            "{text}"
+        );
+    }
+    let any_evicted: BTreeSet<usize> = survivors
+        .iter()
+        .flat_map(|&r| logs[r].reports.iter().flat_map(|rep| rep.evicted.clone()))
+        .collect();
+    assert_eq!(
+        any_evicted,
+        BTreeSet::from([2]),
+        "the crash evicts exactly rank 2"
+    );
 
-    // Degraded iterations no longer pay the straggler/sync barrier: the
-    // post-crash iteration is not slower than the synchronized baseline.
-    let healthy = run.iterations[1].total_ms;
-    let straggled = run.iterations[5].total_ms;
-    assert!(straggled > healthy, "sync mode pays for the straggler");
-
-    // Every event is visible through the metrics registry.
-    let snap = metrics.snapshot();
-    assert_eq!(snap.nodes_failed, 1);
-    assert_eq!(snap.transfers_dropped, 1);
-    assert_eq!(snap.retries, 1);
-    assert_eq!(snap.stragglers_detected, 1);
-    assert_eq!(snap.degraded_iterations, 4);
-    let text = snap.to_string();
-    assert!(text.contains("nodes_failed=1") && text.contains("retries=1"), "{text}");
+    // Counter growth over every rank while `steps` ran (all four ranks
+    // complete the steps before the crash).
+    let grew = |steps: std::ops::RangeInclusive<usize>, f: fn(&FaultMetricsSnapshot) -> u64| {
+        logs.iter()
+            .map(|l| f(&l.snaps[*steps.end()]) - f(&l.snaps[*steps.start() - 1]))
+            .sum::<u64>()
+    };
+    // The dropped frame timed out and was re-sent during its step; the
+    // straggler was flagged while it was slow.
+    assert!(
+        grew(2..=2, |m| m.timeouts) >= 1,
+        "the dropped frame must time out"
+    );
+    assert!(
+        grew(2..=2, |m| m.send_retries) >= 1,
+        "the resend request must be serviced"
+    );
+    assert!(
+        grew(4..=6, |m| m.stragglers_detected) >= 1,
+        "the 4x straggler must be flagged"
+    );
 }
 
 fn build_exec(seed: u64) -> Executor {
