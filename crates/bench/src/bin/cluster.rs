@@ -15,7 +15,9 @@
 
 use std::sync::Arc;
 
-use latte_bench::json::{parse, Json};
+use latte_bench::artifact_main;
+use latte_bench::json::Json;
+use latte_bench::schema::CLUSTER;
 use latte_core::{compile, OptLevel};
 use latte_nn::models::{mlp, ModelConfig};
 use latte_runtime::data::Batch;
@@ -25,33 +27,6 @@ use latte_runtime::ring::{CommPolicy, SyncMode};
 use latte_runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
 use latte_runtime::transport::{channel_group, channel_group_with};
 use latte_runtime::Executor;
-
-struct Args {
-    smoke: bool,
-    out: String,
-    validate: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: "BENCH_cluster.json".to_string(),
-        validate: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--validate" => args.validate = Some(it.next().expect("--validate needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; flags: --smoke --out <path> --validate <path>");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 struct Shape {
     batch: usize,
@@ -117,6 +92,15 @@ struct RankOutcome {
     lossy_step_ms: f64,
 }
 
+/// The arithmetic mean; NaN for no values.
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        f64::NAN
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
 /// Runs `steps` distributed steps on every rank of `endpoints` and
 /// returns the per-rank timing outcomes (ranks whose trainer errored —
 /// e.g. the crashed one — are dropped).
@@ -153,13 +137,6 @@ fn run_world<W: latte_runtime::transport::Wire>(
                         Err(_) => return None,
                     }
                 }
-                let mean = |v: &[f64]| {
-                    if v.is_empty() {
-                        f64::NAN
-                    } else {
-                        v.iter().sum::<f64>() / v.len() as f64
-                    }
-                };
                 Some(RankOutcome {
                     stats: trainer.stats(),
                     sync_step_ms: mean(&sync),
@@ -230,16 +207,11 @@ fn degraded_section(smoke: bool, world: usize, steps: u32) -> Json {
     let survivors: Vec<&RankOutcome> =
         outs.iter().filter(|o| o.stats.lossy_steps > 0).collect();
     assert!(!survivors.is_empty(), "the crash must degrade someone");
-    let mean = |f: &dyn Fn(&RankOutcome) -> f64| {
-        let vals: Vec<f64> = survivors.iter().map(|o| f(o)).filter(|v| v.is_finite()).collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+    let finite_mean = |f: fn(&RankOutcome) -> f64| {
+        mean(&survivors.iter().map(|o| f(o)).filter(|v| v.is_finite()).collect::<Vec<_>>())
     };
-    let sync_ms = mean(&|o: &RankOutcome| o.sync_step_ms);
-    let lossy_ms = mean(&|o: &RankOutcome| o.lossy_step_ms);
+    let sync_ms = finite_mean(|o| o.sync_step_ms);
+    let lossy_ms = finite_mean(|o| o.lossy_step_ms);
     println!(
         "degraded: world={world} crash_at={crash_at}  sync_step={sync_ms:.2}ms  lossy_step={lossy_ms:.2}ms"
     );
@@ -256,74 +228,16 @@ fn degraded_section(smoke: bool, world: usize, steps: u32) -> Json {
     ])
 }
 
-/// Schema check for a written artifact. Returns a list of violations.
-fn validate_doc(doc: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get("schema").and_then(Json::as_str) != Some("latte-cluster/v1") {
-        errs.push("missing or wrong `schema` (want \"latte-cluster/v1\")".into());
-    }
-    match doc.get("overlap") {
-        None => errs.push("`overlap` missing".into()),
-        Some(o) => {
-            for key in ["world", "steps", "comm_ms", "exposed_ms", "overlap_efficiency", "sync_step_ms"] {
-                if o.get(key).and_then(Json::as_num).is_none() {
-                    errs.push(format!("overlap.{key} missing or not a number"));
-                }
-            }
-            if let Some(eff) = o.get("overlap_efficiency").and_then(Json::as_num) {
-                if !(0.0..=1.0).contains(&eff) {
-                    errs.push(format!("overlap_efficiency {eff} outside [0, 1]"));
-                }
-            }
-        }
-    }
-    match doc.get("degraded") {
-        None => errs.push("`degraded` missing".into()),
-        Some(d) => {
-            for key in ["world", "steps", "crash_at_step", "lossy_step_ms", "lossy_steps"] {
-                if d.get(key).and_then(Json::as_num).is_none() {
-                    errs.push(format!("degraded.{key} missing or not a number"));
-                }
-            }
-        }
-    }
-    errs
-}
-
 fn main() {
-    let args = parse_args();
-
-    if let Some(path) = &args.validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let doc = parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let errs = validate_doc(&doc);
-        if errs.is_empty() {
-            println!("{path}: schema OK");
-            return;
-        }
-        for e in &errs {
-            eprintln!("{path}: {e}");
-        }
-        std::process::exit(1);
-    }
-
-    let (world, steps) = if args.smoke { (4, 4) } else { (4, 12) };
-    println!(
-        "cluster harness ({} mode), world {world}, {steps} steps",
-        if args.smoke { "smoke" } else { "full" }
-    );
-
-    let overlap = overlap_section(args.smoke, world, steps);
-    let degraded = degraded_section(args.smoke, world, steps);
-
-    let doc = Json::obj([
-        ("schema", Json::Str("latte-cluster/v1".into())),
-        ("smoke", Json::Bool(args.smoke)),
-        ("overlap", overlap),
-        ("degraded", degraded),
-    ]);
-    std::fs::write(&args.out, doc.render())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    artifact_main(&CLUSTER, |smoke| {
+        let (world, steps) = if smoke { (4, 4) } else { (4, 12) };
+        println!(
+            "cluster harness ({} mode), world {world}, {steps} steps",
+            if smoke { "smoke" } else { "full" }
+        );
+        vec![
+            ("overlap", overlap_section(smoke, world, steps)),
+            ("degraded", degraded_section(smoke, world, steps)),
+        ]
+    });
 }

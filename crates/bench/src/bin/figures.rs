@@ -2,8 +2,12 @@
 //! (Section 7). Usage:
 //!
 //! ```text
-//! cargo run --release -p latte-bench --bin figures -- [fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|all] [--full]
+//! cargo run --release -p latte-bench --bin figures -- [fig13|...|fig20|ablations|all] [--full]
 //! ```
+//!
+//! `ablations` times the compiler's design choices one at a time (fusion,
+//! shared buffers, vectorization, tile size, GEMM pattern matching) and
+//! the three stacks on one conv block.
 //!
 //! Default shapes are scaled down for a single-core CI machine; `--full`
 //! uses the paper's published input sizes (slow). Absolute numbers will
@@ -99,45 +103,48 @@ fn main() {
     if run("fig20") {
         fig20();
     }
+    if run("ablations") {
+        ablations();
+    }
 }
 
 /// One standalone VGG convolution group `g` (1-based) as a Latte model
 /// and a baseline spec list, with matching shapes.
 fn vgg_group(scale: Scale, group: usize) -> (latte_core::dsl::Net, Vec<spec::LayerSpec>, (usize, usize, usize)) {
-    use latte_nn::layers::{convolution, data, max_pool, relu, ConvSpec};
     let table = [(64usize, 1usize), (128, 1), (256, 2), (512, 2), (512, 2)];
     let ch = |c: usize| (c / scale.div).max(1);
     let input_edge = scale.vgg_input >> (group - 1);
     let in_c = if group == 1 { 3 } else { ch(table[group - 2].0) };
     let (out_c, convs) = table[group - 1];
+    conv_group(scale.batch, input_edge, in_c, ch(out_c), convs, group as u64 * 10)
+}
 
-    let mut net = latte_core::dsl::Net::new(scale.batch);
-    let d = data(&mut net, "data", vec![input_edge, input_edge, in_c]);
-    let mut prev = d;
-    for i in 0..convs {
-        let c = convolution(
-            &mut net,
-            &format!("conv{i}"),
-            prev,
-            ConvSpec::same(ch(out_c), 3),
-            group as u64 * 10 + i as u64,
-        );
-        prev = relu(&mut net, &format!("relu{i}"), c);
-    }
-    max_pool(&mut net, "pool", prev, 2, 2);
-
+/// `convs` 3×3 same convolutions, each followed by a ReLU, then a 2×2
+/// max-pool, over an `edge`² × `cin` input: the Latte net, the matching
+/// baseline specs, and the `(c, h, w)` input shape. Conv `i` is seeded
+/// `seed + i`.
+fn conv_group(
+    batch: usize,
+    edge: usize,
+    cin: usize,
+    cout: usize,
+    convs: usize,
+    seed: u64,
+) -> (latte_core::dsl::Net, Vec<spec::LayerSpec>, (usize, usize, usize)) {
+    use latte_nn::layers::{convolution, data, max_pool, relu, ConvSpec};
+    let mut net = latte_core::dsl::Net::new(batch);
+    let mut prev = data(&mut net, "data", vec![edge, edge, cin]);
     let mut specs = Vec::new();
-    for _ in 0..convs {
-        specs.push(spec::LayerSpec::Conv {
-            out_channels: ch(out_c),
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        });
+    for i in 0..convs {
+        let conv = ConvSpec::same(cout, 3);
+        let c = convolution(&mut net, &format!("conv{i}"), prev, conv, seed + i as u64);
+        prev = relu(&mut net, &format!("relu{i}"), c);
+        specs.push(spec::LayerSpec::Conv { out_channels: cout, kernel: 3, stride: 1, pad: 1 });
         specs.push(spec::LayerSpec::ReLU);
     }
+    max_pool(&mut net, "pool", prev, 2, 2);
     specs.push(spec::LayerSpec::MaxPool { kernel: 2, stride: 2 });
-    (net, specs, (in_c, input_edge, input_edge))
+    (net, specs, (cin, edge, edge))
 }
 
 /// Figure 13: effect of individual optimizations on the VGG first-group
@@ -249,40 +256,38 @@ fn time_model_pair(
     (latte_t, base_t)
 }
 
+/// `(model, latte_s, baseline_s)` fwd+bwd per batch for the three
+/// ImageNet models, against the Caffe-style or the Mocha-style stack.
+fn imagenet_pairs(scale: Scale, mocha_backend: bool) -> Vec<(&'static str, f64, f64)> {
+    type Build = fn(&ModelConfig) -> models::Model;
+    type Specs = fn(usize, usize) -> Vec<spec::LayerSpec>;
+    let table: [(&str, usize, Build, Specs); 3] = [
+        ("AlexNet", scale.alexnet_input, models::alexnet, spec::alexnet_specs),
+        ("OverFeat", scale.overfeat_input, models::overfeat, spec::overfeat_specs),
+        ("VGG-A", scale.vgg_input, models::vgg_a, spec::vgg_a_specs),
+    ];
+    let classes = model_cfg(scale, 0).classes;
+    table
+        .into_iter()
+        .map(|(name, input, build, specs)| {
+            let model = build(&model_cfg(scale, input));
+            let specs = specs(scale.div, classes);
+            let (l, b) = time_model_pair(scale, &model, &specs, (3, input, input), mocha_backend);
+            (name, l, b)
+        })
+        .collect()
+}
+
 /// Figure 14: Latte speedup over the Caffe-style baseline on the three
 /// ImageNet models.
 fn fig14(scale: Scale) {
-    let mut rows = Vec::new();
-    let alex = models::alexnet(&model_cfg(scale, scale.alexnet_input));
-    let (l, c) = time_model_pair(
-        scale,
-        &alex,
-        &spec::alexnet_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.alexnet_input, scale.alexnet_input),
-        false,
-    );
-    rows.push(vec!["AlexNet".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
-
-    let over = models::overfeat(&model_cfg(scale, scale.overfeat_input));
-    let (l, c) = time_model_pair(
-        scale,
-        &over,
-        &spec::overfeat_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.overfeat_input, scale.overfeat_input),
-        false,
-    );
-    rows.push(vec!["OverFeat".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
-
-    let vgg = models::vgg_a(&model_cfg(scale, scale.vgg_input));
-    let (l, c) = time_model_pair(
-        scale,
-        &vgg,
-        &spec::vgg_a_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.vgg_input, scale.vgg_input),
-        false,
-    );
-    rows.push(vec!["VGG-A".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
-
+    let rows: Vec<Vec<String>> = imagenet_pairs(scale, false)
+        .into_iter()
+        .map(|(name, l, c)| {
+            let ms = |t: f64| format!("{:.1} ms", t * 1e3);
+            vec![name.into(), speedup(c, l), ms(l), ms(c)]
+        })
+        .collect();
     print_table(
         "Figure 14: Latte speedup over Caffe (fwd+bwd per batch)",
         &["model", "speedup", "latte", "caffe"],
@@ -335,34 +340,10 @@ fn fig16(scale: Scale) {
         batch: 2,
         ..scale
     };
-    let mut rows = Vec::new();
-    let alex = models::alexnet(&model_cfg(scale, scale.alexnet_input));
-    let (l, m) = time_model_pair(
-        scale,
-        &alex,
-        &spec::alexnet_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.alexnet_input, scale.alexnet_input),
-        true,
-    );
-    rows.push(vec!["AlexNet".into(), speedup(m, l)]);
-    let over = models::overfeat(&model_cfg(scale, scale.overfeat_input));
-    let (l, m) = time_model_pair(
-        scale,
-        &over,
-        &spec::overfeat_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.overfeat_input, scale.overfeat_input),
-        true,
-    );
-    rows.push(vec!["OverFeat".into(), speedup(m, l)]);
-    let vgg = models::vgg_a(&model_cfg(scale, scale.vgg_input));
-    let (l, m) = time_model_pair(
-        scale,
-        &vgg,
-        &spec::vgg_a_specs(scale.div, model_cfg(scale, 0).classes),
-        (3, scale.vgg_input, scale.vgg_input),
-        true,
-    );
-    rows.push(vec!["VGG-A".into(), speedup(m, l)]);
+    let rows: Vec<Vec<String>> = imagenet_pairs(scale, true)
+        .into_iter()
+        .map(|(name, l, m)| vec![name.into(), speedup(m, l)])
+        .collect();
     print_table(
         "Figure 16: Latte speedup over Mocha-style naive stack (fwd+bwd)",
         &["model", "speedup"],
@@ -497,89 +478,66 @@ fn analytic_layers(
     out
 }
 
-fn scaling_rows(results: Vec<(usize, f64, f64)>) -> Vec<Vec<String>> {
-    results
-        .into_iter()
-        .map(|(n, thr, eff)| {
-            vec![
-                n.to_string(),
-                format!("{thr:.1} img/s"),
-                format!("{:.1}%", eff * 100.0),
-            ]
-        })
-        .collect()
-}
-
 /// Effective per-node throughput assumed for the analytic paper-scale
 /// cluster projections (a 36-core Xeon with MKL on conv/FC GEMMs).
 const NODE_GFLOPS: f64 = 250.0;
 
-/// Figure 18: Cori-style strong scaling (fixed global batch 512, VGG).
-fn fig18(scale: Scale) {
-    // Measured profile at the benchmark's (scaled) model size.
-    let model = models::vgg_a(&model_cfg(scale, scale.vgg_input));
-    let layers = measured_profiles(scale, &model);
-    let rows = scaling_rows(strong_scaling(
-        NetworkModel::aries_like(),
-        &layers,
-        512,
-        &[1, 2, 4, 8, 16, 32, 64],
-    ));
-    print_table(
-        "Figure 18a: strong scaling, VGG, global batch 512 (measured scaled profile)",
-        &["nodes", "throughput", "efficiency vs linear"],
-        &rows,
-    );
-    // Paper-scale analytic profile: full-width VGG at 224x224, where
-    // communication is substantial (the regime Cori actually ran).
+/// Prints scaling figure `fig` twice: (a) over the per-layer profile
+/// measured from `model` at the benchmark's scaled size, and (b) over the
+/// analytic profile of the full-width net (`specs` on `input`), where
+/// communication is substantial (the regime the paper's clusters ran).
+fn scaling_figure(
+    fig: &str,
+    what: &str,
+    scale: Scale,
+    model: &models::Model,
+    (specs, input): (Vec<spec::LayerSpec>, (usize, usize, usize)),
+    scaling: impl Fn(&[latte_runtime::cluster::LayerProfile]) -> Vec<(usize, f64, f64)>,
+) {
     let analytic = latte_runtime::cluster::analytic_profiles(
-        &analytic_layers(&spec::vgg_a_specs(1, 1000), (3, 224, 224)),
+        &analytic_layers(&specs, input),
         NODE_GFLOPS,
         2.0,
     );
-    let rows = scaling_rows(strong_scaling(
-        NetworkModel::aries_like(),
-        &analytic,
-        512,
-        &[1, 2, 4, 8, 16, 32, 64],
-    ));
-    print_table(
-        "Figure 18b: strong scaling, VGG, global batch 512 (analytic full-scale profile)",
-        &["nodes", "throughput", "efficiency vs linear"],
-        &rows,
+    for (part, profile, layers) in [
+        ("a", "measured scaled profile", measured_profiles(scale, model)),
+        ("b", "analytic full-scale profile", analytic),
+    ] {
+        let rows: Vec<Vec<String>> = scaling(&layers)
+            .into_iter()
+            .map(|(n, thr, eff)| {
+                vec![n.to_string(), format!("{thr:.1} img/s"), format!("{:.1}%", eff * 100.0)]
+            })
+            .collect();
+        print_table(
+            &format!("Figure {fig}{part}: {what} ({profile})"),
+            &["nodes", "throughput", "efficiency vs linear"],
+            &rows,
+        );
+    }
+}
+
+/// Figure 18: Cori-style strong scaling (fixed global batch 512, VGG).
+fn fig18(scale: Scale) {
+    scaling_figure(
+        "18",
+        "strong scaling, VGG, global batch 512",
+        scale,
+        &models::vgg_a(&model_cfg(scale, scale.vgg_input)),
+        (spec::vgg_a_specs(1, 1000), (3, 224, 224)),
+        |layers| strong_scaling(NetworkModel::aries_like(), layers, 512, &[1, 2, 4, 8, 16, 32, 64]),
     );
 }
 
 /// Figure 19: commodity-cluster weak scaling (batch 64/node, AlexNet).
 fn fig19(scale: Scale) {
-    let model = models::alexnet(&model_cfg(scale, scale.alexnet_input));
-    let layers = measured_profiles(scale, &model);
-    let rows = scaling_rows(weak_scaling(
-        NetworkModel::infiniband_like(),
-        &layers,
-        64,
-        &[1, 2, 4, 8, 16, 32],
-    ));
-    print_table(
-        "Figure 19a: weak scaling, AlexNet, batch 64/node (measured scaled profile)",
-        &["nodes", "throughput", "efficiency vs linear"],
-        &rows,
-    );
-    let analytic = latte_runtime::cluster::analytic_profiles(
-        &analytic_layers(&spec::alexnet_specs(1, 1000), (3, 227, 227)),
-        NODE_GFLOPS,
-        2.0,
-    );
-    let rows = scaling_rows(weak_scaling(
-        NetworkModel::infiniband_like(),
-        &analytic,
-        64,
-        &[1, 2, 4, 8, 16, 32],
-    ));
-    print_table(
-        "Figure 19b: weak scaling, AlexNet, batch 64/node (analytic full-scale profile)",
-        &["nodes", "throughput", "efficiency vs linear"],
-        &rows,
+    scaling_figure(
+        "19",
+        "weak scaling, AlexNet, batch 64/node",
+        scale,
+        &models::alexnet(&model_cfg(scale, scale.alexnet_input)),
+        (spec::alexnet_specs(1, 1000), (3, 227, 227)),
+        |layers| weak_scaling(NetworkModel::infiniband_like(), layers, 64, &[1, 2, 4, 8, 16, 32]),
     );
 }
 
@@ -662,5 +620,135 @@ fn fig20() {
     println!(
         "lossy == sequential (paper: both 99.20%): Δ = {:.3}%",
         (lossy - sequential).abs() * 100.0
+    );
+}
+
+/// A net to ablate: the Latte model, its input feeds, and (for conv
+/// blocks) the matching baseline layer specs and `(c, h, w)` input.
+struct Workload {
+    net: latte_core::dsl::Net,
+    batch: usize,
+    feeds: Vec<(&'static str, Vec<f32>)>,
+    baseline: Option<(Vec<spec::LayerSpec>, (usize, usize, usize))>,
+}
+
+/// A 3×3 same conv + ReLU + 2×2 max-pool block at batch 4.
+fn conv_block(h: usize, cin: usize, cout: usize) -> Workload {
+    let (net, specs, shape) = conv_group(4, h, cin, cout, 1, 1);
+    Workload {
+        net,
+        batch: 4,
+        feeds: vec![("data", seeded(4 * h * h * cin, 3))],
+        baseline: Some((specs, shape)),
+    }
+}
+
+/// The 128-128-64-10 MLP with a softmax loss at batch 8.
+fn mlp_workload() -> Workload {
+    let cfg = ModelConfig {
+        batch: 8,
+        input_size: 128,
+        channel_div: 1,
+        classes: 10,
+        with_loss: true,
+        seed: 4,
+    };
+    Workload {
+        net: models::mlp(&cfg, &[128, 64]).net,
+        batch: cfg.batch,
+        feeds: vec![("data", seeded(8 * 128, 5)), ("label", vec![0.0; 8])],
+        baseline: None,
+    }
+}
+
+/// One side of an ablation.
+enum Variant {
+    Latte(OptLevel),
+    Caffe,
+    Mocha,
+}
+
+/// Seconds per `pass` of `variant` on `w`.
+fn time_variant(w: &Workload, pass: Pass, variant: &Variant) -> f64 {
+    if let Variant::Latte(opt) = variant {
+        let mut exec = executor_or_die(compile_or_die(&w.net, opt, "ablation"), "ablation");
+        for (name, values) in &w.feeds {
+            exec.set_input(name, values).expect("input");
+        }
+        return time_latte(&mut exec, pass, 3);
+    }
+    let (specs, shape) = w.baseline.as_ref().expect("baseline stacks run conv blocks only");
+    let mut base = match variant {
+        Variant::Caffe => caffe::build(*shape, w.batch, specs, 1),
+        _ => mocha::build(*shape, w.batch, specs, 1),
+    };
+    base.set_input(&w.feeds[0].1);
+    time_baseline(&mut base, pass, 3)
+}
+
+/// The compiler ablations: one row per design choice, each variant timed
+/// on the same workload; the last column gives the first variant's
+/// speedup over each of the others.
+fn ablations() {
+    let full = OptLevel::full;
+    let latte = |label: &str, opt: OptLevel| (label.to_string(), Variant::Latte(opt));
+    let toggle = |on: &str, off: &str, opt: OptLevel| vec![latte(on, full()), latte(off, opt)];
+    let (big, small) = (|| conv_block(32, 8, 16), || conv_block(16, 4, 8));
+    let tiles = [1, 2, 4, 8, 16].map(|t| latte(&format!("tile{t}"), full().with_tile_size(t)));
+    let stacks = vec![
+        latte("latte", full()),
+        ("caffe".into(), Variant::Caffe),
+        ("mocha".into(), Variant::Mocha),
+    ];
+    let table = vec![
+        ("fusion", Pass::Both, big(), toggle("fused", "unfused", full().with_fusion(false))),
+        (
+            "shared buffers",
+            Pass::Forward,
+            small(),
+            toggle("shared", "duplicated", full().with_shared_buffers(false)),
+        ),
+        (
+            "vectorize",
+            Pass::Forward,
+            small(),
+            toggle("native", "interpreted", full().with_vectorize(false)),
+        ),
+        ("tile size", Pass::Both, big(), Vec::from(tiles)),
+        (
+            "pattern match",
+            Pass::Both,
+            mlp_workload(),
+            toggle("gemm", "loops", full().with_pattern_match(false)),
+        ),
+        ("stacks", Pass::Forward, small(), stacks),
+    ];
+    let mut rows = Vec::new();
+    for (name, pass, workload, variants) in &table {
+        let times: Vec<(&str, f64)> = variants
+            .iter()
+            .map(|(label, v)| (label.as_str(), time_variant(workload, *pass, v)))
+            .collect();
+        let (first, t_first) = times[0];
+        let others: Vec<String> = times[1..]
+            .iter()
+            .map(|&(label, t)| format!("{label} {:.3} ms ({})", t * 1e3, speedup(t, t_first)))
+            .collect();
+        let pass = match pass {
+            Pass::Forward => "fwd",
+            Pass::Backward => "bwd",
+            Pass::Both => "fwd+bwd",
+        };
+        rows.push(vec![
+            name.to_string(),
+            pass.to_string(),
+            format!("{first} {:.3} ms", t_first * 1e3),
+            others.join(", "),
+        ]);
+    }
+    print_table(
+        "Ablations: one design choice at a time",
+        &["ablation", "pass", "first variant", "others (first's speedup over each)"],
+        &rows,
     );
 }

@@ -3,9 +3,10 @@
 
 use latte_baselines::caffe;
 use latte_baselines::spec::LayerSpec;
-use latte_bench::{compile_or_die, executor_or_die, seeded, time_baseline, Pass};
+use latte_bench::{compile_or_die, executor_or_die, measure, seeded, time_baseline, Pass};
 use latte_core::OptLevel;
 use latte_nn::layers::{convolution, data, max_pool, relu, ConvSpec};
+use latte_tensor::gemm::{Gemm, Transpose};
 
 fn main() {
     gemm_probe();
@@ -26,25 +27,19 @@ fn main() {
         exec.set_input("data", &seeded(batch * h * h * cin, 3)).unwrap();
         exec.forward();
         // Average over many runs.
-        let mut fwd_acc: Vec<(String, f64)> = Vec::new();
-        let mut bwd_acc: Vec<(String, f64)> = Vec::new();
+        let mut acc: Vec<(String, f64)> = Vec::new();
         let reps = 50;
         for _ in 0..reps {
-            for (i, (n, t)) in exec.forward_timed().into_iter().enumerate() {
-                if fwd_acc.len() <= i {
-                    fwd_acc.push((n, 0.0));
+            let timed = exec.forward_timed().into_iter().chain(exec.backward_timed());
+            for (i, (n, t)) in timed.enumerate() {
+                if acc.len() <= i {
+                    acc.push((n, 0.0));
                 }
-                fwd_acc[i].1 += t;
-            }
-            for (i, (n, t)) in exec.backward_timed().into_iter().enumerate() {
-                if bwd_acc.len() <= i {
-                    bwd_acc.push((n, 0.0));
-                }
-                bwd_acc[i].1 += t;
+                acc[i].1 += t;
             }
         }
         println!("== latte [{tag}] (ms per pass) ==");
-        for (n, t) in fwd_acc.iter().chain(bwd_acc.iter()) {
+        for (n, t) in &acc {
             println!("  {:<40} {:.3}", n, t / reps as f64);
         }
     }
@@ -64,30 +59,22 @@ fn main() {
 }
 
 fn gemm_probe() {
-    use latte_tensor::gemm::{Gemm, Transpose};
-    use std::time::Instant;
-    let bench = |name: &str, ta, tb, m: usize, n: usize, k: usize| {
-        let a = vec![1.0f32; m * k];
-        let b = vec![1.0f32; k * n];
+    println!("== raw gemm probes ==");
+    for (name, ta, tb, m, n, k) in [
+        ("latte-conv-fwd (NT)", Transpose::No, Transpose::Yes, 1024, 8, 27),
+        ("caffe-conv-fwd (NN)", Transpose::No, Transpose::No, 8, 1024, 27),
+        ("latte-conv-bwd-w (TN)", Transpose::Yes, Transpose::No, 8, 27, 1024),
+        ("latte-conv-bwd-d (NN)", Transpose::No, Transpose::No, 1024, 27, 8),
+        ("big square", Transpose::No, Transpose::No, 256, 256, 256),
+    ] {
+        let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
         let mut c = vec![0.0f32; m * n];
         let mut g = Gemm::new();
-        g.compute(ta, tb, m, n, k, &a, &b, &mut c);
-        let reps = 200;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            g.compute(ta, tb, m, n, k, &a, &b, &mut c);
-        }
-        let s = t0.elapsed().as_secs_f64() / reps as f64;
+        let s = measure(20, || g.compute(ta, tb, m, n, k, &a, &b, &mut c));
         println!(
             "  gemm {name}: m={m} n={n} k={k} -> {:.1} us, {:.2} GFLOPS",
             s * 1e6,
             2.0 * (m * n * k) as f64 / s / 1e9
         );
-    };
-    println!("== raw gemm probes ==");
-    bench("latte-conv-fwd (NT)", Transpose::No, Transpose::Yes, 1024, 8, 27);
-    bench("caffe-conv-fwd (NN)", Transpose::No, Transpose::No, 8, 1024, 27);
-    bench("latte-conv-bwd-w (TN)", Transpose::Yes, Transpose::No, 8, 27, 1024);
-    bench("latte-conv-bwd-d (NN)", Transpose::No, Transpose::No, 1024, 27, 8);
-    bench("big square", Transpose::No, Transpose::No, 256, 256, 256);
+    }
 }

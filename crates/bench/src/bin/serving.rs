@@ -26,41 +26,28 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use latte_bench::json::{parse, Json};
+use latte_bench::artifact_main;
+use latte_bench::json::Json;
+use latte_bench::schema::SERVING;
 use latte_core::dsl::Net;
-use latte_core::OptLevel;
+use latte_core::{splitmix64, OptLevel};
 use latte_nn::layers::{data, fully_connected, relu, softmax_loss, tanh};
 use latte_serve::net::run_adversary;
 use latte_serve::{
-    loadgen, zoo, Arrival, Client, Misbehavior, Model, NetConfig, NetError, NetFrontend, Request,
-    SeqServer, ServeConfig, Server, ServeError,
+    loadgen, zoo, Arrival, Client, Misbehavior, Model, NetConfig, NetError, NetFrontend, PlanCache,
+    Request, Response, SeqServer, ServeConfig, ServeError, Server, StatsSnapshot, Ticket,
 };
 
-struct Args {
-    smoke: bool,
-    out: String,
-    validate: Option<String>,
-}
+/// How long any one response may take before the run is declared hung.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(120);
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: "BENCH_serving.json".to_string(),
-        validate: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--validate" => args.validate = Some(it.next().expect("--validate needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; flags: --smoke --out <path> --validate <path>");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
+/// A scenario's identity in its artifact row.
+#[derive(Clone, Copy)]
+struct Scenario {
+    name: &'static str,
+    /// Requests offered.
+    n: usize,
+    seed: u64,
 }
 
 /// The served model: a small MLP classifier, batch-parametric with
@@ -111,83 +98,112 @@ fn percentile_ms(sorted: &[Duration], pct: f64) -> f64 {
 }
 
 /// Pre-warms every micro-batch size so steady-state traffic never
-/// compiles. Returns the cache miss count after warmup.
-fn warmup(server: &Server, max_batch: usize) -> u64 {
-    for size in 1..=max_batch {
-        let tickets: Vec<_> = (0..size)
-            .map(|i| server.submit(request(warm_seed(size, i))).expect("warmup submit"))
-            .collect();
-        server.flush();
+/// compiles: one flushed batch per size, its requests built by `submit`
+/// from seeds disjoint from the scenarios' request seeds.
+fn warm<T>(
+    max_batch: usize,
+    submit: impl Fn(u64) -> Result<T, ServeError>,
+    flush: impl Fn(),
+    wait: impl Fn(T) -> Result<Response, ServeError>,
+) {
+    for size in 1..=max_batch as u64 {
+        let tickets: Vec<_> =
+            (0..size).map(|i| submit(size << 32 | i).expect("warmup submit")).collect();
+        flush();
         for t in tickets {
-            t.wait_timeout(Duration::from_secs(60)).expect("warmup response");
+            wait(t).expect("warmup response");
         }
     }
+}
+
+/// [`warm`] for the fixed-shape classifier server. Returns the cache
+/// miss count after warmup.
+fn warmup(server: &Server, max_batch: usize) -> u64 {
+    let wait = |t: Ticket| t.wait_timeout(RESPONSE_TIMEOUT);
+    warm(max_batch, |seed| server.submit(request(seed)), || server.flush(), wait);
     server.cache().misses()
 }
 
-/// A warmup seed disjoint from scenario request seeds.
-fn warm_seed(size: usize, i: usize) -> u64 {
-    (size as u64) << 32 | i as u64
+/// What one scenario's traffic produced.
+struct Run {
+    /// Latency of every answered request.
+    latencies: Vec<Duration>,
+    /// Requests refused with `Overloaded`.
+    rejected: u64,
+    /// Seconds from the first arrival to the last answer.
+    makespan: f64,
 }
 
-/// Replays one arrival schedule open-loop and summarizes the run.
-fn scenario(name: &str, arrival: &Arrival, n: usize, seed: u64, cfg: ServeConfig) -> Json {
-    let server = Server::start(model(), cfg);
-    let warm_misses = warmup(&server, cfg.max_batch);
-
-    let offsets = loadgen::schedule(arrival, n, seed);
+/// Replays `sc.n` arrivals of `arrival` open-loop: `submit(i)` goes out
+/// at the `i`-th scheduled offset (an `Overloaded` rejection is counted,
+/// any other error is fatal), then the coalescing batches are flushed and
+/// every admitted request's latency is collected.
+fn replay<T>(
+    sc: Scenario,
+    arrival: &Arrival,
+    mut submit: impl FnMut(usize) -> Result<T, ServeError>,
+    flush: impl FnOnce(),
+    wait: impl Fn(T) -> Result<Response, ServeError>,
+) -> Run {
+    let offsets = loadgen::schedule(arrival, sc.n, sc.seed);
     let start = Instant::now();
-    let mut tickets = Vec::with_capacity(n);
+    let mut tickets = Vec::with_capacity(sc.n);
     let mut rejected = 0u64;
     for (i, &off) in offsets.iter().enumerate() {
-        let now = start.elapsed();
-        if off > now {
-            std::thread::sleep(off - now);
+        if let Some(ahead) = off.checked_sub(start.elapsed()) {
+            std::thread::sleep(ahead);
         }
-        match server.submit(request(seed.wrapping_add(i as u64))) {
+        match submit(i) {
             Ok(t) => tickets.push(t),
             Err(ServeError::Overloaded { .. }) => rejected += 1,
-            Err(e) => panic!("{name}: submit failed: {e}"),
+            Err(e) => panic!("{}: submit failed: {e}", sc.name),
         }
     }
-    let mut latencies: Vec<Duration> = Vec::with_capacity(tickets.len());
-    for t in tickets {
-        let resp = t.wait_timeout(Duration::from_secs(120)).expect("response");
-        latencies.push(resp.meta.latency);
-    }
-    let makespan = start.elapsed().as_secs_f64();
-    latencies.sort();
+    flush();
+    let latencies = tickets
+        .into_iter()
+        .map(|t| wait(t).expect("response").meta.latency)
+        .collect();
+    Run { latencies, rejected, makespan: start.elapsed().as_secs_f64() }
+}
 
-    let stats = server.stats();
-    let cache = server.cache();
-    let recompiles_after_warmup = cache.misses() - warm_misses;
-    // Warmup batches are excluded from the scenario's traffic counters.
-    let completed = latencies.len() as u64;
-    let qps = completed as f64 / makespan;
-    let p50 = percentile_ms(&latencies, 50.0);
-    let p99 = percentile_ms(&latencies, 99.0);
-    let run_batches = stats.batches - cfg.max_batch as u64; // warmup ran one batch per size
-    let mean_batch = if run_batches > 0 {
-        completed as f64 / run_batches as f64
-    } else {
-        0.0
-    };
-
+/// Summarises a run into its `scenarios[]` row: latency percentiles,
+/// sustained QPS, batching, flush reasons and plan-cache counters, with
+/// the `(misses, batches)` warmup left behind excluded, plus the
+/// scenario's `extra` blocks. Prints the scenario line with `detail`
+/// appended.
+fn summarize(
+    sc: Scenario,
+    mut run: Run,
+    stats: &StatsSnapshot,
+    cache: &PlanCache,
+    warm: (u64, u64),
+    detail: &str,
+    extra: Vec<(&'static str, Json)>,
+) -> Json {
+    run.latencies.sort();
+    let completed = run.latencies.len() as u64;
+    let qps = completed as f64 / run.makespan;
+    let p50 = percentile_ms(&run.latencies, 50.0);
+    let p99 = percentile_ms(&run.latencies, 99.0);
+    let batches = stats.batches - warm.1;
+    let mean_batch = if batches > 0 { completed as f64 / batches as f64 } else { 0.0 };
+    let recompiles_after_warmup = cache.misses() - warm.0;
     println!(
-        "{name}: {completed}/{n} ok, {rejected} rejected, p50 {p50:.3} ms, p99 {p99:.3} ms, \
-         {qps:.0} QPS, mean batch {mean_batch:.2}, recompiles after warmup {recompiles_after_warmup}"
+        "{}: {completed}/{} ok, {} rejected, p50 {p50:.3} ms, p99 {p99:.3} ms, {qps:.0} QPS, \
+         mean batch {mean_batch:.2}, recompiles after warmup {recompiles_after_warmup}{detail}",
+        sc.name, sc.n, run.rejected
     );
-
-    Json::obj([
-        ("name", Json::Str(name.to_string())),
-        ("requests", Json::Num(n as f64)),
-        ("seed", Json::Num(seed as f64)),
+    let mut row = vec![
+        ("name", Json::Str(sc.name.to_string())),
+        ("requests", Json::Num(sc.n as f64)),
+        ("seed", Json::Num(sc.seed as f64)),
         ("p50_ms", Json::Num(p50)),
         ("p99_ms", Json::Num(p99)),
         ("sustained_qps", Json::Num(qps)),
         ("completed", Json::Num(completed as f64)),
-        ("rejected", Json::Num(rejected as f64)),
-        ("batches", Json::Num(run_batches as f64)),
+        ("rejected", Json::Num(run.rejected as f64)),
+        ("batches", Json::Num(batches as f64)),
         ("mean_batch", Json::Num(mean_batch)),
         (
             "flush",
@@ -203,26 +219,33 @@ fn scenario(name: &str, arrival: &Arrival, n: usize, seed: u64, cfg: ServeConfig
                 ("hits", Json::Num(cache.hits() as f64)),
                 ("misses", Json::Num(cache.misses() as f64)),
                 ("evictions", Json::Num(cache.evictions() as f64)),
-                (
-                    "recompiles_after_warmup",
-                    Json::Num(recompiles_after_warmup as f64),
-                ),
+                ("recompiles_after_warmup", Json::Num(recompiles_after_warmup as f64)),
             ]),
         ),
-    ])
+    ];
+    row.extend(extra);
+    Json::obj(row)
+}
+
+/// A fixed-shape scenario: the classifier warmed over every micro-batch
+/// size, then `arrival` replayed against it.
+fn scenario(sc: Scenario, arrival: &Arrival, cfg: ServeConfig) -> Json {
+    let server = Server::start(model(), cfg);
+    let warm_misses = warmup(&server, cfg.max_batch);
+    let run = replay(
+        sc,
+        arrival,
+        |i| server.submit(request(sc.seed.wrapping_add(i as u64))),
+        || server.flush(),
+        |t| t.wait_timeout(RESPONSE_TIMEOUT),
+    );
+    // Warmup ran one batch per size.
+    let warm = (warm_misses, cfg.max_batch as u64);
+    summarize(sc, run, &server.stats(), server.cache(), warm, "", Vec::new())
 }
 
 /// Longest sequence the dynshape scenario serves (buckets 1, 2, 4, 8).
 const SEQ_MAX_LEN: usize = 8;
-
-/// splitmix64, for the dynshape scenario's seeded length stream.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The dynamic-shape scenario: a mixed-length sequence stream against a
 /// [`SeqServer`] bucket ladder. Every `(bucket, micro-batch)` pair is
@@ -230,7 +253,7 @@ fn mix(state: &mut u64) -> u64 {
 /// from `1..=SEQ_MAX_LEN`, so most requests pad ("spill") into a larger
 /// bucket — and **none** of them may reach the compiler. The zero-
 /// recompile claim is asserted, not just reported.
-fn dynshape_scenario(name: &str, arrival: &Arrival, n: usize, seed: u64, cfg: ServeConfig) -> Json {
+fn dynshape_scenario(sc: Scenario, arrival: &Arrival, cfg: ServeConfig) -> Json {
     let server = SeqServer::start(
         zoo::seq_model(SEQ_MAX_LEN).expect("seq model registration"),
         cfg,
@@ -240,124 +263,37 @@ fn dynshape_scenario(name: &str, arrival: &Arrival, n: usize, seed: u64, cfg: Se
     // Warm every (bucket, batch) pair with exact-length (spill-free)
     // traffic, mirroring the fixed-shape warmup.
     for &bucket in &ladder {
-        for size in 1..=cfg.max_batch {
-            let tickets: Vec<_> = (0..size)
-                .map(|i| {
-                    server
-                        .submit(&zoo::seq_sample(bucket, warm_seed(size, i)))
-                        .expect("warmup submit")
-                })
-                .collect();
-            server.flush();
-            for t in tickets {
-                t.wait_timeout(Duration::from_secs(60)).expect("warmup response");
-            }
-        }
+        let submit = |seed| server.submit(&zoo::seq_sample(bucket, seed));
+        warm(cfg.max_batch, submit, || server.flush(), |t| t.wait_timeout(RESPONSE_TIMEOUT));
     }
     let warm_misses = server.cache().misses();
-    let warm_spills = server.bucket_spills();
-    assert_eq!(warm_spills, 0, "exact-length warmup must not spill");
+    assert_eq!(server.bucket_spills(), 0, "exact-length warmup must not spill");
 
-    let offsets = loadgen::schedule(arrival, n, seed);
-    let start = Instant::now();
-    let mut tickets = Vec::with_capacity(n);
-    let mut rejected = 0u64;
-    let mut state = seed ^ 0xd15b_a7c4_ed5e_11e5;
-    for &off in offsets.iter() {
-        let now = start.elapsed();
-        if off > now {
-            std::thread::sleep(off - now);
-        }
-        let len = (mix(&mut state) as usize % SEQ_MAX_LEN) + 1;
-        let req_seed = mix(&mut state);
-        match server.submit(&zoo::seq_sample(len, req_seed)) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { .. }) => rejected += 1,
-            Err(e) => panic!("{name}: submit failed: {e}"),
-        }
-    }
-    server.flush();
-    let mut latencies: Vec<Duration> = Vec::with_capacity(tickets.len());
-    for t in tickets {
-        let resp = t.wait_timeout(Duration::from_secs(120)).expect("response");
-        latencies.push(resp.meta.latency);
-    }
-    let makespan = start.elapsed().as_secs_f64();
-    latencies.sort();
-
-    let stats = server.stats();
-    let cache = server.cache();
-    let recompiles_after_warmup = cache.misses() - warm_misses;
+    let mut state = sc.seed ^ 0xd15b_a7c4_ed5e_11e5;
+    let run = replay(
+        sc,
+        arrival,
+        |_| {
+            let len = (splitmix64(&mut state) as usize % SEQ_MAX_LEN) + 1;
+            server.submit(&zoo::seq_sample(len, splitmix64(&mut state)))
+        },
+        || server.flush(),
+        |t| t.wait_timeout(RESPONSE_TIMEOUT),
+    );
     assert_eq!(
-        recompiles_after_warmup, 0,
+        server.cache().misses(),
+        warm_misses,
         "a warm bucket ladder must never recompile for a mixed-length stream"
     );
-    let completed = latencies.len() as u64;
-    let qps = completed as f64 / makespan;
-    let p50 = percentile_ms(&latencies, 50.0);
-    let p99 = percentile_ms(&latencies, 99.0);
-    let warm_batches = (ladder.len() * cfg.max_batch) as u64;
-    let run_batches = stats.batches - warm_batches;
-    let mean_batch = if run_batches > 0 {
-        completed as f64 / run_batches as f64
-    } else {
-        0.0
-    };
     let spills = server.bucket_spills();
-    let routed = server.routed();
-
-    println!(
-        "{name}: {completed}/{n} ok, {rejected} rejected, p50 {p50:.3} ms, p99 {p99:.3} ms, \
-         {qps:.0} QPS, mean batch {mean_batch:.2}, {spills} bucket spills over ladder {ladder:?}, \
-         recompiles after warmup {recompiles_after_warmup}"
-    );
-
-    Json::obj([
-        ("name", Json::Str(name.to_string())),
-        ("requests", Json::Num(n as f64)),
-        ("seed", Json::Num(seed as f64)),
-        ("p50_ms", Json::Num(p50)),
-        ("p99_ms", Json::Num(p99)),
-        ("sustained_qps", Json::Num(qps)),
-        ("completed", Json::Num(completed as f64)),
-        ("rejected", Json::Num(rejected as f64)),
-        ("batches", Json::Num(run_batches as f64)),
-        ("mean_batch", Json::Num(mean_batch)),
-        (
-            "flush",
-            Json::obj([
-                ("size", Json::Num(stats.flush_size as f64)),
-                ("deadline", Json::Num(stats.flush_deadline as f64)),
-                ("drain", Json::Num(stats.flush_drain as f64)),
-            ]),
-        ),
-        (
-            "cache",
-            Json::obj([
-                ("hits", Json::Num(cache.hits() as f64)),
-                ("misses", Json::Num(cache.misses() as f64)),
-                ("evictions", Json::Num(cache.evictions() as f64)),
-                (
-                    "recompiles_after_warmup",
-                    Json::Num(recompiles_after_warmup as f64),
-                ),
-            ]),
-        ),
-        (
-            "buckets",
-            Json::obj([
-                (
-                    "ladder",
-                    Json::Arr(ladder.iter().map(|&b| Json::Num(b as f64)).collect()),
-                ),
-                (
-                    "routed",
-                    Json::Arr(routed.iter().map(|&r| Json::Num(r as f64)).collect()),
-                ),
-                ("spills", Json::Num(spills as f64)),
-            ]),
-        ),
-    ])
+    let buckets = Json::obj([
+        ("ladder", Json::Arr(ladder.iter().map(|&b| Json::Num(b as f64)).collect())),
+        ("routed", Json::Arr(server.routed().iter().map(|&r| Json::Num(r as f64)).collect())),
+        ("spills", Json::Num(spills as f64)),
+    ]);
+    let warm = (warm_misses, (ladder.len() * cfg.max_batch) as u64);
+    let detail = format!("; {spills} bucket spills over ladder {ladder:?}");
+    summarize(sc, run, &server.stats(), server.cache(), warm, &detail, vec![("buckets", buckets)])
 }
 
 /// Replays closed-loop traffic over real loopback TCP — through the
@@ -368,9 +304,10 @@ fn dynshape_scenario(name: &str, arrival: &Arrival, n: usize, seed: u64, cfg: Se
 /// latency/batching figures as the in-process scenarios plus the
 /// fault-hardening counters, so a regression in shedding or connection
 /// hygiene shows up in the artifact.
-fn tcp_scenario(name: &str, n: usize, seed: u64, cfg: ServeConfig) -> Json {
+fn tcp_scenario(sc: Scenario, cfg: ServeConfig) -> Json {
     const PATIENCE: Duration = Duration::from_secs(10);
     const FLOOD: usize = 16;
+    let Scenario { n, seed, .. } = sc;
     let net_cfg = NetConfig {
         max_connections: 16,
         read_timeout: Duration::from_millis(300),
@@ -480,20 +417,7 @@ fn tcp_scenario(name: &str, n: usize, seed: u64, cfg: ServeConfig) -> Json {
     server.shutdown();
     front.close();
 
-    latencies.sort();
     let stats = server.stats();
-    let cache = server.cache();
-    let recompiles_after_warmup = cache.misses() - warm_misses;
-    let completed = latencies.len() as u64;
-    let qps = completed as f64 / makespan;
-    let p50 = percentile_ms(&latencies, 50.0);
-    let p99 = percentile_ms(&latencies, 99.0);
-    let run_batches = stats.batches - cfg.max_batch as u64;
-    let mean_batch = if run_batches > 0 {
-        completed as f64 / run_batches as f64
-    } else {
-        0.0
-    };
     assert_eq!(
         stats.deadline_rejected + stats.deadline_shed,
         floods as u64,
@@ -506,10 +430,8 @@ fn tcp_scenario(name: &str, n: usize, seed: u64, cfg: ServeConfig) -> Json {
         "the quitter's abandoned reply was never counted"
     );
 
-    println!(
-        "{name}: {completed}/{n} ok over TCP, {rejected} rejected, p50 {p50:.3} ms, \
-         p99 {p99:.3} ms, {qps:.0} QPS, mean batch {mean_batch:.2}; \
-         conns {}/{} rejected, {} timed out, {} corrupt frames, \
+    let detail = format!(
+        " (over TCP); conns {}/{} rejected, {} timed out, {} corrupt frames, \
          {} deadline-rejected + {} shed, {} replies dropped",
         stats.conn_rejected,
         stats.conn_accepted + stats.conn_rejected,
@@ -519,226 +441,70 @@ fn tcp_scenario(name: &str, n: usize, seed: u64, cfg: ServeConfig) -> Json {
         stats.deadline_shed,
         stats.replies_dropped,
     );
-
-    Json::obj([
-        ("name", Json::Str(name.to_string())),
-        ("requests", Json::Num(n as f64)),
-        ("seed", Json::Num(seed as f64)),
-        ("p50_ms", Json::Num(p50)),
-        ("p99_ms", Json::Num(p99)),
-        ("sustained_qps", Json::Num(qps)),
-        ("completed", Json::Num(completed as f64)),
-        ("rejected", Json::Num(rejected as f64)),
-        ("batches", Json::Num(run_batches as f64)),
-        ("mean_batch", Json::Num(mean_batch)),
-        (
-            "flush",
-            Json::obj([
-                ("size", Json::Num(stats.flush_size as f64)),
-                ("deadline", Json::Num(stats.flush_deadline as f64)),
-                ("drain", Json::Num(stats.flush_drain as f64)),
-            ]),
-        ),
-        (
-            "cache",
-            Json::obj([
-                ("hits", Json::Num(cache.hits() as f64)),
-                ("misses", Json::Num(cache.misses() as f64)),
-                ("evictions", Json::Num(cache.evictions() as f64)),
-                (
-                    "recompiles_after_warmup",
-                    Json::Num(recompiles_after_warmup as f64),
-                ),
-            ]),
-        ),
-        (
-            "net",
-            Json::obj([
-                ("conn_accepted", Json::Num(stats.conn_accepted as f64)),
-                ("conn_rejected", Json::Num(stats.conn_rejected as f64)),
-                ("conn_timeouts", Json::Num(stats.conn_timeouts as f64)),
-                ("frames_corrupt", Json::Num(stats.frames_corrupt as f64)),
-                ("deadline_rejected", Json::Num(stats.deadline_rejected as f64)),
-                ("deadline_shed", Json::Num(stats.deadline_shed as f64)),
-                ("replies_dropped", Json::Num(stats.replies_dropped as f64)),
-            ]),
-        ),
-    ])
-}
-
-/// Schema check for a written artifact. Returns a list of violations.
-fn validate_doc(doc: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get("schema").and_then(Json::as_str) != Some("latte-serving/v1") {
-        errs.push("missing or wrong `schema` (want \"latte-serving/v1\")".into());
-    }
-    for key in ["max_batch", "max_delay_ms", "replicas", "threads", "queue_cap"] {
-        if doc.get("config").and_then(|c| c.get(key)).and_then(Json::as_num).is_none() {
-            errs.push(format!("config.{key} missing or not a number"));
-        }
-    }
-    match doc.get("scenarios").and_then(Json::as_arr) {
-        None => errs.push("`scenarios` must be an array".into()),
-        Some(entries) => {
-            for want in ["steady", "bursty", "tcp", "dynshape"] {
-                if !entries
-                    .iter()
-                    .any(|e| e.get("name").and_then(Json::as_str) == Some(want))
-                {
-                    errs.push(format!("scenario `{want}` missing"));
-                }
-            }
-            for (i, e) in entries.iter().enumerate() {
-                if e.get("name").and_then(Json::as_str).is_none() {
-                    errs.push(format!("scenarios[{i}].name missing"));
-                }
-                for key in [
-                    "requests",
-                    "p50_ms",
-                    "p99_ms",
-                    "sustained_qps",
-                    "completed",
-                    "rejected",
-                    "batches",
-                    "mean_batch",
-                ] {
-                    if e.get(key).and_then(Json::as_num).is_none() {
-                        errs.push(format!("scenarios[{i}].{key} missing or not a number"));
-                    }
-                }
-                for key in ["size", "deadline", "drain"] {
-                    if e.get("flush").and_then(|f| f.get(key)).and_then(Json::as_num).is_none() {
-                        errs.push(format!("scenarios[{i}].flush.{key} missing or not a number"));
-                    }
-                }
-                for key in ["hits", "misses", "evictions", "recompiles_after_warmup"] {
-                    if e.get("cache").and_then(|c| c.get(key)).and_then(Json::as_num).is_none() {
-                        errs.push(format!("scenarios[{i}].cache.{key} missing or not a number"));
-                    }
-                }
-                if e.get("name").and_then(Json::as_str) == Some("dynshape") {
-                    for key in ["ladder", "routed"] {
-                        if e.get("buckets").and_then(|b| b.get(key)).and_then(Json::as_arr).is_none()
-                        {
-                            errs.push(format!("scenarios[{i}].buckets.{key} missing or not an array"));
-                        }
-                    }
-                    if e.get("buckets").and_then(|b| b.get("spills")).and_then(Json::as_num).is_none()
-                    {
-                        errs.push(format!("scenarios[{i}].buckets.spills missing or not a number"));
-                    }
-                    if e.get("cache")
-                        .and_then(|c| c.get("recompiles_after_warmup"))
-                        .and_then(Json::as_num)
-                        != Some(0.0)
-                    {
-                        errs.push(format!(
-                            "scenarios[{i}].cache.recompiles_after_warmup must be 0: a warm \
-                             bucket ladder never recompiles"
-                        ));
-                    }
-                }
-                if e.get("name").and_then(Json::as_str) == Some("tcp") {
-                    for key in [
-                        "conn_accepted",
-                        "conn_rejected",
-                        "conn_timeouts",
-                        "frames_corrupt",
-                        "deadline_rejected",
-                        "deadline_shed",
-                        "replies_dropped",
-                    ] {
-                        if e.get("net").and_then(|v| v.get(key)).and_then(Json::as_num).is_none() {
-                            errs.push(format!("scenarios[{i}].net.{key} missing or not a number"));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    errs
+    let net = Json::obj([
+        ("conn_accepted", Json::Num(stats.conn_accepted as f64)),
+        ("conn_rejected", Json::Num(stats.conn_rejected as f64)),
+        ("conn_timeouts", Json::Num(stats.conn_timeouts as f64)),
+        ("frames_corrupt", Json::Num(stats.frames_corrupt as f64)),
+        ("deadline_rejected", Json::Num(stats.deadline_rejected as f64)),
+        ("deadline_shed", Json::Num(stats.deadline_shed as f64)),
+        ("replies_dropped", Json::Num(stats.replies_dropped as f64)),
+    ]);
+    let run = Run { latencies, rejected, makespan };
+    let warm = (warm_misses, cfg.max_batch as u64);
+    summarize(sc, run, &stats, server.cache(), warm, &detail, vec![("net", net)])
 }
 
 fn main() {
-    let args = parse_args();
-
-    if let Some(path) = &args.validate {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let doc = parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let errs = validate_doc(&doc);
-        if errs.is_empty() {
-            println!("{path}: schema OK");
-            return;
-        }
-        for e in &errs {
-            eprintln!("{path}: {e}");
-        }
-        std::process::exit(1);
-    }
-
-    let cfg = ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_millis(2),
-        queue_cap: 256,
-        replicas: 2,
-        threads: 1,
-        retry_limit: 1,
-    };
-    let n = if args.smoke { 64 } else { 2000 };
-    println!(
-        "serving harness ({} mode): {n} requests/scenario, max_batch={}, max_delay={:?}, \
-         replicas={}",
-        if args.smoke { "smoke" } else { "full" },
-        cfg.max_batch,
-        cfg.max_delay,
-        cfg.replicas
-    );
-
-    let scenarios = vec![
-        scenario("steady", &Arrival::Steady { rps: 1500.0 }, n, 11, cfg),
-        scenario(
-            "bursty",
-            &Arrival::Bursty {
-                burst: 16,
-                within: Duration::from_millis(1),
-                gap: Duration::from_millis(8),
-            },
-            n,
-            13,
-            cfg,
-        ),
-        scenario(
-            "slow_client",
-            &Arrival::SlowClient {
-                rps: 1500.0,
-                stall_every: 50,
-                stall: Duration::from_millis(40),
-            },
-            n,
-            17,
-            cfg,
-        ),
-        tcp_scenario("tcp", n, 19, cfg),
-        dynshape_scenario("dynshape", &Arrival::Steady { rps: 1500.0 }, n, 23, cfg),
-    ];
-
-    let doc = Json::obj([
-        ("schema", Json::Str("latte-serving/v1".into())),
-        ("smoke", Json::Bool(args.smoke)),
-        (
-            "config",
-            Json::obj([
-                ("max_batch", Json::Num(cfg.max_batch as f64)),
-                ("max_delay_ms", Json::Num(cfg.max_delay.as_secs_f64() * 1e3)),
-                ("replicas", Json::Num(cfg.replicas as f64)),
-                ("threads", Json::Num(cfg.threads as f64)),
-                ("queue_cap", Json::Num(cfg.queue_cap as f64)),
-            ]),
-        ),
-        ("scenarios", Json::Arr(scenarios)),
-    ]);
-    std::fs::write(&args.out, doc.render())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    artifact_main(&SERVING, |smoke| {
+        let cfg = ServeConfig {
+            max_batch: 8,
+            max_delay: Duration::from_millis(2),
+            queue_cap: 256,
+            replicas: 2,
+            threads: 1,
+            retry_limit: 1,
+        };
+        let n = if smoke { 64 } else { 2000 };
+        println!(
+            "serving harness ({} mode): {n} requests/scenario, max_batch={}, max_delay={:?}, \
+             replicas={}",
+            if smoke { "smoke" } else { "full" },
+            cfg.max_batch,
+            cfg.max_delay,
+            cfg.replicas
+        );
+        let sc = |name, seed| Scenario { name, n, seed };
+        let steady = Arrival::Steady { rps: 1500.0 };
+        let bursty = Arrival::Bursty {
+            burst: 16,
+            within: Duration::from_millis(1),
+            gap: Duration::from_millis(8),
+        };
+        let slow_client = Arrival::SlowClient {
+            rps: 1500.0,
+            stall_every: 50,
+            stall: Duration::from_millis(40),
+        };
+        let scenarios = vec![
+            scenario(sc("steady", 11), &steady, cfg),
+            scenario(sc("bursty", 13), &bursty, cfg),
+            scenario(sc("slow_client", 17), &slow_client, cfg),
+            tcp_scenario(sc("tcp", 19), cfg),
+            dynshape_scenario(sc("dynshape", 23), &steady, cfg),
+        ];
+        vec![
+            (
+                "config",
+                Json::obj([
+                    ("max_batch", Json::Num(cfg.max_batch as f64)),
+                    ("max_delay_ms", Json::Num(cfg.max_delay.as_secs_f64() * 1e3)),
+                    ("replicas", Json::Num(cfg.replicas as f64)),
+                    ("threads", Json::Num(cfg.threads as f64)),
+                    ("queue_cap", Json::Num(cfg.queue_cap as f64)),
+                ]),
+            ),
+            ("scenarios", Json::Arr(scenarios)),
+        ]
+    });
 }

@@ -65,6 +65,11 @@ impl Json {
         }
     }
 
+    /// Follows a dotted path of object keys (`"tuned.cache.entries"`).
+    pub fn at(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |node, key| node.get(key))
+    }
+
     /// Renders with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -112,6 +117,80 @@ impl Json {
                 let _ = write!(out, "{pad}}}");
             }
         }
+    }
+}
+
+/// The JSON type a schema path must hold.
+#[derive(Debug, Clone, Copy)]
+pub struct Kind {
+    name: &'static str,
+    holds: fn(&Json) -> bool,
+}
+
+impl Kind {
+    /// A number.
+    pub const NUM: Kind = Kind { name: "a number", holds: |v| matches!(v, Json::Num(_)) };
+    /// A string.
+    pub const STR: Kind = Kind { name: "a string", holds: |v| matches!(v, Json::Str(_)) };
+    /// A boolean.
+    pub const BOOL: Kind = Kind { name: "a bool", holds: |v| matches!(v, Json::Bool(_)) };
+    /// An array.
+    pub const ARR: Kind = Kind { name: "an array", holds: |v| matches!(v, Json::Arr(_)) };
+}
+
+/// The schema violations of one document, collected path by path.
+/// `at` arguments name the node being checked in messages (`"gemm[2]"`,
+/// or `""` for the root).
+#[derive(Debug, Default)]
+pub struct Violations(Vec<String>);
+
+fn join(at: &str, path: &str) -> String {
+    if at.is_empty() {
+        path.to_string()
+    } else {
+        format!("{at}.{path}")
+    }
+}
+
+impl Violations {
+    /// Reports each dotted path under `node` that is absent or not of `kind`.
+    pub fn require(&mut self, node: &Json, at: &str, kind: Kind, paths: &[&str]) {
+        for path in paths {
+            if !node.at(path).is_some_and(kind.holds) {
+                self.0.push(format!("{} missing or not {}", join(at, path), kind.name));
+            }
+        }
+    }
+
+    /// The rows of the array at `path` under `node`, each with its name
+    /// (`gemm[2]`). Reports a missing array, or an empty one when
+    /// `nonempty`.
+    pub fn rows<'j>(
+        &mut self,
+        node: &'j Json,
+        at: &str,
+        path: &str,
+        nonempty: bool,
+    ) -> Vec<(String, &'j Json)> {
+        let name = join(at, path);
+        let Some(rows) = node.at(path).and_then(Json::as_arr) else {
+            self.0.push(format!("{name} missing or not an array"));
+            return Vec::new();
+        };
+        self.check(!nonempty || !rows.is_empty(), || format!("{name} is empty"));
+        rows.iter().enumerate().map(|(i, r)| (format!("{name}[{i}]"), r)).collect()
+    }
+
+    /// Reports `msg` unless `ok`.
+    pub fn check(&mut self, ok: bool, msg: impl FnOnce() -> String) {
+        if !ok {
+            self.0.push(msg());
+        }
+    }
+
+    /// The violations found, in the order they were checked.
+    pub fn into_vec(self) -> Vec<String> {
+        self.0
     }
 }
 

@@ -1,18 +1,70 @@
 //! # latte-bench
 //!
 //! The measurement harness behind the `figures` binary, which regenerates
-//! every figure and table of the paper's evaluation (Section 7), and the
-//! criterion ablation benches.
+//! every figure and table of the paper's evaluation (Section 7) plus the
+//! compiler ablations, and behind the `throughput`, `serving` and
+//! `cluster` binaries, which write the checked-in `BENCH_*.json`
+//! artifacts through one command line ([`artifact_main`]), one schema
+//! checker ([`schema`]) and one pair of timers ([`measure`],
+//! [`measure_paired`]).
 
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod schema;
 
 use std::time::Instant;
 
+use json::Json;
 use latte_baselines::net::SequentialNet;
 use latte_core::{compile, CompiledNet, OptLevel};
 use latte_runtime::{ExecConfig, Executor};
+use schema::Artifact;
+
+/// The command line shared by the artifact binaries: `--smoke` (small,
+/// CI-fast shapes), `--out <path>` (default `artifact.out`) and
+/// `--validate <path>`.
+///
+/// With `--validate`, checks the document at `path` against `artifact`,
+/// prints `<path>: schema OK` or each violation, and exits 0 or 1.
+/// Otherwise writes the sections `build(smoke)` returns, tagged with the
+/// schema string and the mode, to the output path. An unknown flag exits
+/// 2.
+pub fn artifact_main(artifact: &Artifact, build: impl FnOnce(bool) -> Vec<(&'static str, Json)>) {
+    let (mut smoke, mut out, mut validate) = (false, artifact.out.to_string(), None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = args.next().expect("--out needs a path"),
+            "--validate" => validate = Some(args.next().expect("--validate needs a path")),
+            other => {
+                eprintln!("unknown flag {other}; flags: --smoke --out <path> --validate <path>");
+                std::process::exit(2);
+            }
+        }
+    }
+    if let Some(path) = validate {
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+        let errs = (artifact.validate)(&doc);
+        if errs.is_empty() {
+            println!("{path}: schema OK");
+            return;
+        }
+        for e in &errs {
+            eprintln!("{path}: {e}");
+        }
+        std::process::exit(1);
+    }
+    let mut sections = build(smoke);
+    sections.push(("schema", Json::Str(artifact.schema.into())));
+    sections.push(("smoke", Json::Bool(smoke)));
+    std::fs::write(&out, Json::obj(sections).render())
+        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    println!("wrote {out}");
+}
 
 /// Which passes a measurement runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +90,39 @@ pub fn measure(min_iters: usize, mut f: impl FnMut()) -> f64 {
         f();
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    median(times)
+}
+
+/// Median seconds per call of `a` and of `b`, timed in interleaved
+/// rounds (`reps` calls of `a`, then `reps` calls of `b`) after one
+/// untimed warm-up round, so a load burst on a shared host lands on both
+/// sides. `rounds` must be at least 1.
+pub fn measure_paired(
+    rounds: usize,
+    reps: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        start.elapsed().as_secs_f64() / reps as f64
+    };
+    let (mut ta, mut tb) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..=rounds {
+        let (da, db) = (time(&mut a), time(&mut b));
+        if round > 0 {
+            ta.push(da);
+            tb.push(db);
+        }
+    }
+    (median(ta), median(tb))
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
@@ -157,6 +241,14 @@ mod tests {
             std::hint::black_box((0..1000).sum::<usize>());
         });
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn paired_times_both_sides() {
+        let (mut calls_a, mut calls_b) = (0, 0);
+        let (a, b) = measure_paired(3, 2, || calls_a += 1, || calls_b += 1);
+        assert!(a >= 0.0 && b >= 0.0);
+        assert_eq!((calls_a, calls_b), (8, 8), "one warm-up round plus three timed");
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub use program::{
     CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding, PassStat, Phase,
     StepShare, Upstream,
 };
-pub use trace::{structure_hash, Fingerprint, Trace, TraceKey, TraceSession};
+pub use trace::{splitmix64, structure_hash, Fingerprint, Trace, TraceKey, TraceSession};
 pub use tuned::TunedSchedule;

@@ -106,6 +106,19 @@ impl Fingerprint {
     }
 }
 
+/// The workspace's one seeded generator: splitmix64. Advances `state`
+/// and returns the next output. Arrival schedules, zoo samples, dropout
+/// masks and bench inputs all draw from it, so their streams are
+/// reproducible from a seed.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The canonical identity of a trace: what must match for a cached
 /// compiled program to be reusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

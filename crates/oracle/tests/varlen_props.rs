@@ -13,7 +13,7 @@ mod common;
 use std::sync::Arc;
 
 use latte_core::dsl::Net;
-use latte_core::{compile, OptLevel, Trace};
+use latte_core::{compile, splitmix64, OptLevel, Trace};
 use latte_ir::BufferKind;
 use latte_nn::layers::{data, fully_connected, softmax_loss};
 use latte_nn::rnn::lstm;
@@ -34,14 +34,6 @@ fn proptest_cases(default: u32) -> u32 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)).wrapping_mul(1)
 }
 
 fn uniform(state: &mut u64) -> f32 {

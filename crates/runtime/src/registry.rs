@@ -13,6 +13,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use latte_core::splitmix64;
+
 use crate::error::RuntimeError;
 
 /// One extern-kernel invocation.
@@ -174,11 +176,11 @@ impl KernelRegistry {
             let keep_scale = 1.0 / (1.0 - ratio);
             let n = inv.per_item[0];
             for i in 0..n {
-                let h = splitmix(
-                    seed ^ pass.wrapping_mul(0x9e3779b97f4a7c15)
-                        ^ (item as u64) << 32
-                        ^ i as u64,
-                );
+                let mut key = seed
+                    ^ pass.wrapping_mul(0x9e3779b97f4a7c15)
+                    ^ (item as u64) << 32
+                    ^ i as u64;
+                let h = splitmix64(&mut key);
                 let keep = (h >> 11) as f32 / (1u64 << 53) as f32 >= ratio;
                 let m = if keep { keep_scale } else { 0.0 };
                 inv.buf_mut(2)[i] = m;
@@ -234,13 +236,6 @@ impl KernelRegistry {
 // backward = [src values...] ++ [own value, own grad] ++ [src grads...]
 //            ++ [state...]
 // ---------------------------------------------------------------------
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 fn softmax(input: &[f32], out: &mut [f32]) {
     let max = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);

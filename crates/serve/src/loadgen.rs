@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use latte_core::splitmix64;
 use latte_runtime::fault::{FaultPlan, TransferFault};
 
 /// An arrival pattern for the open-loop generator.
@@ -41,15 +42,6 @@ pub enum Arrival {
         /// Length of each stall.
         stall: Duration,
     },
-}
-
-/// splitmix64: tiny, seedable, and good enough for arrival jitter.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A uniform draw in the open interval (0, 1).

@@ -10,7 +10,7 @@
 //! against a plain batch-1 executor of the same factory.
 
 use latte_core::dsl::Net;
-use latte_core::OptLevel;
+use latte_core::{splitmix64, OptLevel};
 use latte_nn::layers::{
     convolution, data, fully_connected, max_pool, relu, sigmoid, softmax_loss, tanh, ConvSpec,
 };
@@ -18,7 +18,6 @@ use latte_nn::rnn::lstm;
 use latte_nn::varlen::lstm_seq;
 use std::sync::Arc;
 
-use crate::loadgen::splitmix64;
 use crate::model::{Model, NetFactory};
 use crate::seq::{SeqModel, SeqRequest};
 use crate::server::Request;

@@ -45,9 +45,10 @@ cargo run --release --quiet -p latte-bench --bin throughput -- --smoke --out tar
 cargo run --release --quiet -p latte-bench --bin throughput -- --validate target/BENCH_smoke.json
 cargo run --release --quiet -p latte-bench --bin throughput -- --validate BENCH_throughput.json
 
-echo "==> cluster bench smoke + artifact schema validation"
+echo "==> cluster bench smoke + artifact schema validation (incl. checked-in artifact)"
 cargo run --release --quiet -p latte-bench --bin cluster -- --smoke --out target/BENCH_cluster_smoke.json
 cargo run --release --quiet -p latte-bench --bin cluster -- --validate target/BENCH_cluster_smoke.json
+cargo run --release --quiet -p latte-bench --bin cluster -- --validate BENCH_cluster.json
 
 echo "==> serving bench smoke + artifact schema validation (incl. checked-in artifact)"
 cargo run --release --quiet -p latte-bench --bin serving -- --smoke --out target/BENCH_serving_smoke.json
